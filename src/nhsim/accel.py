@@ -21,14 +21,25 @@ Per pass over the input feature maps:
 
 Work is split over passes when there are more output channels than MACs or
 when one channel's kernels overflow a 4k-value memory bank; if compressed
-input does not fit in pixel memory, multi-pass layers re-stream it.
+input does not fit in pixel memory, multi-pass layers re-stream it.  That
+reload is decided once, from the real stream size, and reported on
+:class:`LayerStats`.
+
+The pixel geometry is separable, so the model never lists pixels.  A
+non-zero pixel at (y, x) triggers rows[y] * cols[x] accumulator updates
+(output rows times output columns it feeds) and is read by visits[y]
+stripes.  Per-channel update counts are therefore rows . (nz[c] @ cols) and
+the decoder's total reads nnz_per_row . visits, both from a few whole-array
+passes.  The output side needs only the non-zero count of every 16-pixel
+encoder segment of each pass's channels, which gives both the drain cycles
+and the output field count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Optional, Union
 
 import numpy as np
 
@@ -88,7 +99,6 @@ class LayerSchedule:
     n_out: int
     k: int
     passes: tuple[PassPlan, ...]
-    input_reload: bool
     values_per_bank: int
 
     @property
@@ -96,18 +106,7 @@ class LayerSchedule:
         return len(self.passes)
 
 
-def dense_input_stream_bytes(layer: LayerDescriptor) -> int:
-    """Upper bound on the compressed input size (fully dense image)."""
-    row_px = layer.w * layer.n_in
-    fields = layer.h * (-(-row_px // codec.SEGMENT_BITS) + row_px)
-    return 4 * (-(-fields // 2))
-
-
-def plan_layer(
-    layer: LayerDescriptor,
-    hw: HardwareConfig,
-    input_stream_bytes: Optional[int] = None,
-) -> LayerSchedule:
+def plan_layer(layer: LayerDescriptor, hw: HardwareConfig) -> LayerSchedule:
     """Derive the pass/cluster/bank plan for a layer; deterministic.
 
     With fewer output channels than MACs, floor(M / channels) MACs
@@ -145,81 +144,13 @@ def plan_layer(
             )
         )
         start += count
-    if input_stream_bytes is None:
-        input_stream_bytes = dense_input_stream_bytes(layer)
-    reload = n_passes > 1 and input_stream_bytes > hw.pixel_mem_bytes
     return LayerSchedule(
         n_in=layer.n_in,
         n_out=layer.n_out,
         k=layer.k,
         passes=tuple(passes),
-        input_reload=reload,
         values_per_bank=-(-footprint // group),
     )
-
-
-def weight_ops_for_pixel(
-    x: int, y: int, k: int, out_w: int, out_h: int, double_row_top: int
-) -> int:
-    """Accumulator updates one pixel triggers in a MAC for one double row.
-
-    Coordinates are in the zero-padded frame.  The count is (output rows of
-    the pair the pixel feeds) x (output columns it feeds), at most 2*k_w;
-    border pixels feed fewer columns, so useless taps are skipped.
-    """
-    col_lo = max(0, x - k + 1)
-    col_hi = min(out_w - 1, x)
-    cols = max(0, col_hi - col_lo + 1)
-    rows = 0
-    for r in (double_row_top, double_row_top + 1):
-        if 0 <= r < out_h and r <= y <= r + k - 1:
-            rows += 1
-    return rows * cols
-
-
-# ---------------------------------------------------------------------------
-# input decoding (stripe reader)
-
-
-def decode_stripe(
-    stream: CompressedStream, stripe_top: int, k_h: int, pad: int
-) -> Iterator[list[tuple[int, int, int, int]]]:
-    """Walk one vertical stripe of k_h+1 padded rows through the row FSMs.
-
-    Yields one batch per simulated cycle; each batch holds the next
-    non-zero pixel of every still-active row FSM as (channel, x, y, raw)
-    in padded coordinates.  Padding rows carry no data and cost nothing.
-    """
-    if not 0 <= pad <= 3:
-        raise ValidationError(f"pad {pad} outside [0, 3]")
-    h = stream.height
-    rows_needed = [
-        yp for yp in range(stripe_top, stripe_top + k_h + 1) if pad <= yp < pad + h
-    ]
-    wanted = {yp - pad: yp for yp in rows_needed}
-    fsm_pixels: dict[int, list[tuple[int, int, int, int]]] = {yp: [] for yp in rows_needed}
-    c = stream.channels
-    for y, row in codec.iter_rows(stream):
-        if y in wanted:
-            yp = wanted[y]
-            for flat in np.flatnonzero(row):
-                fsm_pixels[yp].append(
-                    (int(flat) % c, int(flat) // c + pad, yp, int(row[flat]))
-                )
-        if y > max(wanted, default=-1):
-            break
-    cursors = {yp: 0 for yp in rows_needed}
-    while True:
-        batch = []
-        for yp in rows_needed:
-            px = fsm_pixels[yp]
-            i = cursors[yp]
-            if i < len(px):
-                batch.append(px[i])
-                cursors[yp] = i + 1
-        if not batch:
-            return
-        yield batch
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +170,9 @@ class LayerStats:
     bytes_kernels: int = 0
     passes: int = 0
     macs: int = 128
+    # multi-pass layer whose input stream overflows pixel memory, so every
+    # pass streams it again
+    input_reload: bool = False
 
     @property
     def mac_busy_cycles(self) -> int:
@@ -261,14 +195,6 @@ class LayerStats:
     @property
     def total_bytes(self) -> int:
         return self.bytes_in + self.bytes_out + self.bytes_kernels
-
-    def add(self, other: "LayerStats") -> None:
-        for f in (
-            "cycles_kernel_load", "cycles_input_stream", "cycles_compute",
-            "cycles_output_drain", "cycles_total", "mult_ops",
-            "bytes_in", "bytes_out", "bytes_kernels", "passes",
-        ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
 
     def as_dict(self) -> dict:
         return {
@@ -297,54 +223,60 @@ def dram_power_watts(energy_joules: float, frames_per_s: float) -> float:
     return energy_joules * frames_per_s
 
 
-@dataclass
-class _PixelGeometry:
-    """Per-non-zero-pixel contribution counts for one layer."""
-
-    channel: np.ndarray
-    wops: np.ndarray  # accumulator updates over all stripe visits
-    visits: np.ndarray  # stripes that read the pixel
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, layer: LayerDescriptor):
-        i_idx, y_idx, x_idx = np.nonzero(values)
-        k = layer.k
-        out_h, out_w = layer.conv_h, layer.conv_w
-        xp = x_idx.astype(np.int64) + layer.pad
-        yp = y_idx.astype(np.int64) + layer.pad
-        cols = np.minimum(xp, out_w - 1) - np.maximum(xp - k + 1, 0) + 1
-        rows = np.minimum(yp, out_h - 1) - np.maximum(yp - k + 1, 0) + 1
-        np.clip(cols, 0, None, out=cols)
-        np.clip(rows, 0, None, out=rows)
-        n_stripes = -(-out_h // 2)
-        t_lo = np.maximum((yp - k + 1) // 2, 0)
-        t_hi = np.minimum(yp // 2, n_stripes - 1)
-        visits = np.maximum(t_hi - t_lo + 1, 0)
-        return cls(channel=i_idx.astype(np.int64), wops=rows * cols, visits=visits)
+def _tap_counts(pos: np.ndarray, k: int, out_len: int) -> np.ndarray:
+    """Output positions (of ``out_len``) that padded input positions feed."""
+    n = np.minimum(pos, out_len - 1) - np.maximum(pos - k + 1, 0) + 1
+    return np.maximum(n, 0)
 
 
-def _encoder_drain_cycles(out_values: np.ndarray) -> int:
-    """Cycles to re-encode and stream one pass's output channels.
+def _row_col_geometry(layer: LayerDescriptor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per input row: output rows fed and stripes that read it; per column:
+    output columns fed.
 
-    Per 16-pixel segment: the sparsity map and first non-zero pixel leave
-    in one cycle, then two pixels per cycle.
+    A non-zero pixel at (y, x) triggers ``rows[y] * cols[x]`` accumulator
+    updates over all its stripe visits and is read by ``visits[y]`` stripes.
+    """
+    k = layer.k
+    yp = np.arange(layer.h, dtype=np.int64) + layer.pad
+    xp = np.arange(layer.w, dtype=np.int64) + layer.pad
+    n_stripes = -(-layer.conv_h // 2)
+    t_lo = np.maximum((yp - k + 1) // 2, 0)
+    t_hi = np.minimum(yp // 2, n_stripes - 1)
+    visits = np.maximum(t_hi - t_lo + 1, 0)
+    return _tap_counts(yp, k, layer.conv_h), _tap_counts(xp, k, layer.conv_w), visits
+
+
+def _input_counts(
+    in_values: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulator updates per input channel and non-zero pixels per row."""
+    nz = in_values != 0
+    per_row = np.count_nonzero(nz, axis=2)  # (channel, row)
+    # a pixel feeds k output columns, fewer within k-1 columns of a border:
+    # subtract that shortfall from k per non-zero pixel
+    short = np.flatnonzero(cols < k)
+    updates = k * per_row - nz[:, :, short].astype(np.int64) @ (k - cols[short])
+    return updates @ rows, per_row.sum(axis=0)
+
+
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _output_segment_counts(out_values: np.ndarray) -> np.ndarray:
+    """Non-zero pixels of every 16-pixel encoder segment, per output row.
+
+    Rows are taken in stream order (columns outer, channels inner) and
+    zero-padded to whole segments, as :func:`codec.encode` groups them.
     """
     c, h, w = out_values.shape
     row_px = w * c
-    starts = np.arange(0, row_px, codec.SEGMENT_BITS)
-    total = 0
-    for y in range(h):
-        mask = (out_values[:, y, :].T != 0).reshape(-1).astype(np.int64)
-        nnz = np.add.reduceat(mask, starts)
-        total += int(len(starts) + (nnz // 2).sum())
-    return total
-
-
-def _pass_output_fields(out_values: np.ndarray) -> int:
-    c, h, w = out_values.shape
-    row_px = w * c
-    segs = -(-row_px // codec.SEGMENT_BITS) * h
-    return segs + int(np.count_nonzero(out_values))
+    segs = -(-row_px // codec.SEGMENT_BITS)
+    mask = np.empty((h, w, c), dtype=bool)
+    np.not_equal(out_values.transpose(1, 2, 0), 0, out=mask)
+    bits = np.zeros((h, 2 * segs), dtype=np.uint8)
+    bits[:, : -(-row_px // 8)] = np.packbits(mask.reshape(h, row_px), axis=1)
+    per_byte = _BYTE_POPCOUNT[bits]
+    return per_byte[:, 0::2] + per_byte[:, 1::2]
 
 
 def _layer_stats(
@@ -355,38 +287,39 @@ def _layer_stats(
     hw: HardwareConfig,
     trace: Optional["_TraceWriter"] = None,
 ) -> LayerStats:
-    geo = _PixelGeometry.from_values(in_values, layer)
     k = layer.k
     n_stripes = -(-layer.conv_h // 2)
+    rows, cols, visits = _row_col_geometry(layer)
+    chan_updates, nnz_per_row = _input_counts(in_values, rows, cols, k)
+    wops_sum = int(chan_updates.sum())
+    visits_sum = int(nnz_per_row @ visits)
+    idp_bound = -(-visits_sum // (k + 1))
 
     # input stream size from the row-aligned encoding
     row_px = layer.w * layer.n_in
-    segs_per_row = -(-row_px // codec.SEGMENT_BITS)
-    nnz_per_row = np.count_nonzero(in_values, axis=(0, 2)).astype(np.int64)
-    row_fields = segs_per_row + nnz_per_row
+    row_fields = -(-row_px // codec.SEGMENT_BITS) + nnz_per_row
     stream_words = int(-(-row_fields.sum() // 2))
     prefill_rows = max(0, min(k - layer.pad + 1, layer.h))
     prefill_words = int(-(-row_fields[:prefill_rows].sum() // 2))
 
     reload = schedule.n_passes > 1 and stream_words * 4 > hw.pixel_mem_bytes
-    total = LayerStats(macs=hw.macs)
+    total = LayerStats(macs=hw.macs, input_reload=reload)
     for p_idx, pas in enumerate(schedule.passes):
         c_p, v = pas.chan_count, pas.cluster_size
-        loads = np.bincount(
-            geo.channel % v, weights=geo.wops.astype(np.float64), minlength=v
-        )
-        wops_sum = int(geo.wops.sum())
-        compute = int(loads.max()) if len(loads) else 0
-        idp_bound = -(-int(geo.visits.sum()) // (k + 1))
-        compute = max(compute, idp_bound)
+        # input channels are dealt round-robin to the v cooperating MACs
+        loads = np.zeros(-(-layer.n_in // v) * v, dtype=np.int64)
+        loads[: layer.n_in] = chan_updates
+        compute = max(int(loads.reshape(-1, v).sum(axis=0).max()), idp_bound)
 
         out_slice = out_values[pas.chan_start : pas.chan_start + c_p]
         if layer.encode:
-            drain = _encoder_drain_cycles(out_slice)
-            out_fields = _pass_output_fields(out_slice)
-            out_words = -(-out_fields // 2)
+            seg_nnz = _output_segment_counts(out_slice)
+            nnz_out = int(seg_nnz.sum(dtype=np.int64))
+            drain = seg_nnz.size + int((seg_nnz >> 1).sum(dtype=np.int64))
+            out_words = -(-(seg_nnz.size + nnz_out) // 2)
         else:
             out_px = out_slice.size
+            nnz_out = int(np.count_nonzero(out_slice))
             drain = -(-out_px // hw.output_pixels_per_cycle)
             out_words = -(-out_px // 2)
         if v > 1:
@@ -396,24 +329,20 @@ def _layer_stats(
         stream_p = stream_words if streamed else 0
         prefill_p = prefill_words if streamed else 0
         load_p = -(-pas.kernel_values // 2)
+        overlap = max(compute, stream_p, drain)
 
-        ps = LayerStats(macs=hw.macs)
-        ps.cycles_kernel_load = load_p
-        ps.cycles_input_stream = stream_p
-        ps.cycles_compute = compute
-        ps.cycles_output_drain = drain
-        ps.cycles_total = load_p + prefill_p + max(compute, stream_p, drain)
-        ps.mult_ops = c_p * wops_sum
-        ps.bytes_in = 4 * stream_p
-        ps.bytes_out = 4 * out_words
-        ps.bytes_kernels = 2 * pas.kernel_values
-        ps.passes = 1
-        total.add(ps)
+        total.cycles_kernel_load += load_p
+        total.cycles_input_stream += stream_p
+        total.cycles_compute += compute
+        total.cycles_output_drain += drain
+        total.cycles_total += load_p + prefill_p + overlap
+        total.mult_ops += c_p * wops_sum
+        total.bytes_in += 4 * stream_p
+        total.bytes_out += 4 * out_words
+        total.bytes_kernels += 2 * pas.kernel_values
+        total.passes += 1
         if trace is not None:
-            trace.emit_pass(
-                load_p, prefill_p, max(compute, stream_p, drain),
-                int(geo.visits.sum()), int(np.count_nonzero(out_slice)), k,
-            )
+            trace.emit_pass(load_p, prefill_p, overlap, visits_sum, nnz_out, k)
     return total
 
 

@@ -109,7 +109,7 @@ def _layer_entry(layer, schedule, stats: LayerStats) -> dict:
         "pool": layer.pool,
         "encode": layer.encode,
         "cluster_size": schedule.passes[0].cluster_size,
-        "input_reload": schedule.input_reload,
+        "input_reload": stats.input_reload,
         "dense_macs": layer.dense_macs,
     }
     entry.update(stats.as_dict())

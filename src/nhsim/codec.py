@@ -230,14 +230,6 @@ def field_count_for(t: FeatureMapTensor) -> int:
     return segs + int(np.count_nonzero(t.values))
 
 
-def row_field_counts(t: FeatureMapTensor) -> np.ndarray:
-    """Per-row field counts of the encoded stream (segments + values)."""
-    row_px = t.width * t.channels
-    segs = -(-row_px // SEGMENT_BITS)
-    nnz_per_row = np.count_nonzero(t.values, axis=(0, 2))
-    return segs + nnz_per_row.astype(np.int64)
-
-
 def _check_dims(s: CompressedStream, dims) -> tuple[int, int, int]:
     if dims is None:
         return s.channels, s.height, s.width
@@ -420,7 +412,11 @@ def load_stream(path: str) -> CompressedStream:
         blob = f.read()
     if blob[:4] != _STREAM_MAGIC:
         raise FileFormatError(f"{path}: bad magic, not a compressed stream")
+    if len(blob) < 16:
+        raise FileFormatError(f"{path}: truncated header")
     c, h, w, frac, n_words, pad_flag = struct.unpack("<HHHBIB", blob[4:16])
+    if pad_flag not in (0, 1):
+        raise FileFormatError(f"{path}: trailing-pad flag {pad_flag}, expected 0 or 1")
     expected = 16 + 4 * n_words
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")

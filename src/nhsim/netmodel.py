@@ -438,6 +438,8 @@ def load_weights(path: str) -> KernelSet:
         blob = f.read()
     if blob[:4] != _WEIGHT_MAGIC:
         raise FileFormatError(f"{path}: bad magic, not a weight file")
+    if len(blob) < 11:
+        raise FileFormatError(f"{path}: truncated header")
     n_out, n_in, k, frac = struct.unpack("<HHHB", blob[4:11])
     n_w = n_out * n_in * k * k
     expected = 11 + 2 * n_w + 4 * n_out

@@ -2,13 +2,19 @@
 
 The naive layer oracle below is written as plain quadruple loops over
 scalar fixed-point ops, on purpose: it shares no code path with either the
-vectorized golden model or the pipeline simulator it cross-checks.
+vectorized golden model or the pipeline simulator it cross-checks.  The
+scalar stripe oracles (:func:`weight_ops_for_pixel`, :func:`decode_stripe`)
+likewise walk single pixels, to cross-check the accelerator's separable
+per-row and per-column performance model.
 """
+
+from typing import Iterator
 
 import numpy as np
 import pytest
 
-from nhsim import fxp
+from nhsim import codec, fxp
+from nhsim.codec import CompressedStream
 from nhsim.fxp import QFormat
 from nhsim.netmodel import FeatureMapTensor, KernelSet, LayerDescriptor
 
@@ -51,6 +57,64 @@ def naive_layer_forward(t: FeatureMapTensor, layer: LayerDescriptor, kern: Kerne
                     )
         out = pooled
     return np.array(out, dtype=np.int16)
+
+
+def weight_ops_for_pixel(
+    x: int, y: int, k: int, out_w: int, out_h: int, double_row_top: int
+) -> int:
+    """Accumulator updates one pixel triggers in a MAC for one double row.
+
+    Coordinates are in the zero-padded frame.  The count is (output rows of
+    the pair the pixel feeds) x (output columns it feeds), at most 2*k_w;
+    border pixels feed fewer columns, so useless taps are skipped.
+    """
+    col_lo = max(0, x - k + 1)
+    col_hi = min(out_w - 1, x)
+    cols = max(0, col_hi - col_lo + 1)
+    rows = 0
+    for r in (double_row_top, double_row_top + 1):
+        if 0 <= r < out_h and r <= y <= r + k - 1:
+            rows += 1
+    return rows * cols
+
+
+def decode_stripe(
+    stream: CompressedStream, stripe_top: int, k_h: int, pad: int
+) -> Iterator[list[tuple[int, int, int, int]]]:
+    """Walk one vertical stripe of k_h+1 padded rows through the row FSMs.
+
+    Yields one batch per simulated cycle; each batch holds the next
+    non-zero pixel of every still-active row FSM as (channel, x, y, raw)
+    in padded coordinates.  Padding rows carry no data and cost nothing.
+    """
+    h = stream.height
+    rows_needed = [
+        yp for yp in range(stripe_top, stripe_top + k_h + 1) if pad <= yp < pad + h
+    ]
+    wanted = {yp - pad: yp for yp in rows_needed}
+    fsm_pixels: dict[int, list[tuple[int, int, int, int]]] = {yp: [] for yp in rows_needed}
+    c = stream.channels
+    for y, row in codec.iter_rows(stream):
+        if y in wanted:
+            yp = wanted[y]
+            for flat in np.flatnonzero(row):
+                fsm_pixels[yp].append(
+                    (int(flat) % c, int(flat) // c + pad, yp, int(row[flat]))
+                )
+        if y > max(wanted, default=-1):
+            break
+    cursors = {yp: 0 for yp in rows_needed}
+    while True:
+        batch = []
+        for yp in rows_needed:
+            px = fsm_pixels[yp]
+            i = cursors[yp]
+            if i < len(px):
+                batch.append(px[i])
+                cursors[yp] = i + 1
+        if not batch:
+            return
+        yield batch
 
 
 def random_tensor(rng, channels, h, w, sparsity=0.5, frac=8, lo=-512, hi=512):

@@ -3,17 +3,15 @@ import io
 import numpy as np
 import pytest
 
-from conftest import random_kernels, random_tensor
+from conftest import decode_stripe, random_kernels, random_tensor, weight_ops_for_pixel
 from nhsim import accel, codec, netmodel, refmodel
 from nhsim.accel import (
     HardwareConfig,
     LayerStats,
-    decode_stripe,
     estimate_dram_energy,
     plan_layer,
     simulate_layer,
     simulate_layer_stats,
-    weight_ops_for_pixel,
 )
 from nhsim.cli import random_case
 from nhsim.fxp import QFormat
@@ -101,11 +99,12 @@ class TestDecodeStripe:
                 assert t.values[i, y, x] == v
 
     def test_conservation_across_all_stripes(self, rng):
-        # every non-zero pixel is read in exactly the stripes it influences
+        # every non-zero pixel is read in exactly the stripes the model's
+        # per-row visit count gives for its row
         layer = LayerDescriptor(n_in=2, n_out=4, h=10, w=8, k=3, pad=1)
         t = random_tensor(rng, 2, 10, 8, sparsity=0.5)
         s = codec.encode(t)
-        geo = accel._PixelGeometry.from_values(t.values, layer)
+        _, _, visits = accel._row_col_geometry(layer)
         counts = {}
         n_stripes = -(-layer.conv_h // 2)
         for st_i in range(n_stripes):
@@ -113,10 +112,62 @@ class TestDecodeStripe:
                 for (i, x, y, _) in batch:
                     counts[(i, x, y)] = counts.get((i, x, y), 0) + 1
         nz = np.nonzero(t.values)
+        assert len(nz[0]) > 0
         for idx in range(len(nz[0])):
             i, y, x = (int(a[idx]) for a in nz)
             key = (i, x + layer.pad, y + layer.pad)
-            assert counts.get(key, 0) == int(geo.visits[idx])
+            assert counts.get(key, 0) == int(visits[y])
+
+
+class TestSeparableModel:
+    """The per-row / per-column stats model against per-pixel loops."""
+
+    def _layers(self, rng, n):
+        for _ in range(n):
+            k = int(rng.choice([1, 3, 5, 7]))
+            pad = int(rng.integers(0, min(k, 3) + 1)) if k > 1 else 0
+            h = int(rng.integers(max(1, k - 2 * pad), 14))
+            w = int(rng.integers(max(1, k - 2 * pad), 14))
+            n_in = int(rng.integers(1, 6))
+            yield LayerDescriptor(n_in=n_in, n_out=4, h=h, w=w, k=k, pad=pad, pool=False)
+
+    def test_channel_updates_equal_scalar_stripe_sum(self, rng):
+        for layer in self._layers(rng, 40):
+            t = random_tensor(rng, layer.n_in, layer.h, layer.w, sparsity=0.6)
+            rows, cols, _ = accel._row_col_geometry(layer)
+            got, nnz_per_row = accel._input_counts(t.values, rows, cols, layer.k)
+            want = [0] * layer.n_in
+            n_stripes = -(-layer.conv_h // 2)
+            for i, y, x in zip(*np.nonzero(t.values)):
+                want[i] += sum(
+                    weight_ops_for_pixel(
+                        int(x) + layer.pad, int(y) + layer.pad, layer.k,
+                        layer.conv_w, layer.conv_h, 2 * st,
+                    )
+                    for st in range(n_stripes)
+                )
+            assert got.tolist() == want
+            assert nnz_per_row.tolist() == np.count_nonzero(t.values, axis=(0, 2)).tolist()
+
+    def test_drain_and_output_fields_equal_segment_loop(self, rng):
+        for _ in range(30):
+            c = int(rng.integers(1, 9))
+            h = int(rng.integers(1, 7))
+            w = int(rng.integers(1, 11))
+            sp = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
+            out = random_tensor(rng, c, h, w, sparsity=sp).values
+            seg_nnz = accel._output_segment_counts(out)
+            drain = fields = 0
+            for y in range(h):
+                px = [int(out[ch, y, x]) for x in range(w) for ch in range(c)]
+                for lo in range(0, len(px), codec.SEGMENT_BITS):
+                    nnz = sum(v != 0 for v in px[lo : lo + codec.SEGMENT_BITS])
+                    drain += 1 + nnz // 2
+                    fields += 1 + nnz
+            assert seg_nnz.size + int((seg_nnz >> 1).sum()) == drain
+            assert seg_nnz.size + int(seg_nnz.sum()) == fields
+            enc = codec.encode(FeatureMapTensor(out, QFormat(8)))
+            assert enc.field_count == fields
 
 
 class TestFunctionalEquivalence:

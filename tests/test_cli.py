@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -18,6 +19,7 @@ from nhsim.cli import (
 from nhsim.fxp import QFormat
 from nhsim.netmodel import (
     DenseLayerDescriptor,
+    FeatureMapTensor,
     KernelSet,
     LayerDescriptor,
     NetworkDescriptor,
@@ -182,6 +184,42 @@ class TestCliCommands:
         )
         trace_lines = [l for l in open(trace_path) if not l.startswith("#")]
         assert len(trace_lines) == doc["totals"]["cycles_total"]
+
+    def test_trace_matches_recorded_output(self, tmp_path):
+        # A fixed two-layer run (the second layer takes two passes).  The
+        # size and digest were recorded from the per-pixel stats model that
+        # the separable one replaced, so any drift in modelled timing shows:
+        # 1497 lines of kernel load, prefill and overlap cycles with pixels
+        # in and out.
+        def pattern(shape, mul, mod, off, zero_every):
+            i = np.arange(int(np.prod(shape)))
+            v = (i * mul) % mod - off
+            v[i % zero_every == 0] = 0
+            return v.reshape(shape)
+
+        layers = [
+            LayerDescriptor(n_in=2, n_out=8, h=8, w=8, k=3, pad=1, pool=True,
+                            weights_path=str(tmp_path / "w1.nhw"), name="conv1"),
+            LayerDescriptor(n_in=8, n_out=130, h=4, w=4, k=1, pad=0, pool=False,
+                            weights_path=str(tmp_path / "w2.nhw"), name="conv2"),
+        ]
+        for l in layers:
+            w = pattern((l.n_out, l.n_in, l.k, l.k), 37, 129, 64, 5).astype(np.int16)
+            b = (pattern((l.n_out,), 101, 2001, 1000, 7) * 64).astype(np.int32)
+            netmodel.save_weights(KernelSet(w, b, QFormat(10)), l.weights_path)
+        netpath = str(tmp_path / "net.json")
+        netmodel.save_network(NetworkDescriptor(layers, [], name="fixed"), netpath)
+        x = FeatureMapTensor(pattern((2, 8, 8), 31, 97, 40, 3).astype(np.int16), QFormat(8))
+        inpath = str(tmp_path / "in.nht")
+        netmodel.save_tensor(x, inpath)
+        trace_path = tmp_path / "trace.txt"
+        assert main(["run", "--net", netpath, "--input", inpath,
+                     "--trace", str(trace_path)]) == 0
+        data = trace_path.read_bytes()
+        assert (len(data), data.count(b"\n")) == (26186, 1497)
+        assert hashlib.sha256(data).hexdigest() == (
+            "0a85be62530c1e6111bb20c4a1f9f3a4c1303eae1372f030f85c9cc8efa1e477"
+        )
 
     def test_run_command_synthetic(self, tmp_path, rng, capsys):
         net = presets.network("face_detector")

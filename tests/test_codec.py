@@ -304,3 +304,19 @@ class TestContainer:
         p.write_bytes(b"ZZZZ" + b"\x00" * 20)
         with pytest.raises(netmodel.FileFormatError):
             load_stream(str(p))
+
+    def test_bad_pad_flag(self, tmp_path):
+        t = tensor([i % 3 for i in range(32)], 2, 4, 4)
+        path = tmp_path / "s.nhc"
+        save_stream(encode(t), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[15] = 7  # the trailing-pad flag byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(netmodel.FileFormatError, match="pad flag 7"):
+            load_stream(str(path))
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "s.nhc"
+        path.write_bytes(b"NHC1" + b"\x00" * 6)
+        with pytest.raises(netmodel.FileFormatError, match="truncated header"):
+            load_stream(str(path))

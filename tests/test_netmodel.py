@@ -166,6 +166,14 @@ class TestFileRoundtrips:
         with pytest.raises(netmodel.FileFormatError):
             load_tensor(str(path))
 
+    def test_weights_truncated_header(self, tmp_path):
+        path = tmp_path / "w.nhw"
+        k = KernelSet(np.ones((2, 1, 1, 1), np.int16), np.zeros(2, np.int32), QFormat(8))
+        save_weights(k, str(path))
+        path.write_bytes(path.read_bytes()[:6])  # magic plus two header bytes
+        with pytest.raises(netmodel.FileFormatError, match="truncated header"):
+            load_weights(str(path))
+
 
 class TestNetworkDescriptors:
     def test_roshambo_table_loads_and_chains(self, tmp_path):

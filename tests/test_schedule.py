@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
-from nhsim import presets
-from nhsim.accel import HardwareConfig, dense_input_stream_bytes, plan_layer
-from nhsim.netmodel import LayerDescriptor, ValidationError
+from conftest import random_tensor
+from nhsim import codec, presets
+from nhsim.accel import HardwareConfig, plan_layer, simulate_layer_stats
+from nhsim.cli import run_network
+from nhsim.fxp import QFormat
+from nhsim.netmodel import FeatureMapTensor, LayerDescriptor, ValidationError
 
 HW = HardwareConfig()
 
@@ -94,26 +98,64 @@ class TestVggShapes:
                     assert s.n_passes == 1
             assert s.values_per_bank <= HW.kernel_bank_values
 
-    def test_early_vgg_layers_stream_once_even_when_input_is_big(self):
+    # input reload is decided by the stats model from the real stream size
+
+    def _dense_stats(self, rng, l, hw=HW):
+        """Stats for a dense input, plus that input's stream size in bytes."""
+        t = random_tensor(rng, l.n_in, l.h, l.w, sparsity=0.0)
+        out = FeatureMapTensor(np.zeros(l.out_shape, dtype=np.int16), QFormat(8))
+        return simulate_layer_stats(t, out, l, hw=hw), 4 * (-(-codec.field_count_for(t) // 2))
+
+    def test_early_vgg_layers_stream_once_even_when_input_is_big(self, rng):
         net = presets.network("vgg19")
         second = net.layers[1]  # 64x224x224 input, far beyond pixel memory
-        s = plan_layer(second, HW)
+        s, stream_bytes = self._dense_stats(rng, second)
         # a single-pass layer never needs to re-stream, however big the input
-        assert dense_input_stream_bytes(second) > HW.pixel_mem_bytes
-        assert s.n_passes == 1
+        assert stream_bytes > HW.pixel_mem_bytes
+        assert s.passes == 1
         assert s.input_reload is False
+        assert s.bytes_in == stream_bytes
 
-    def test_multi_pass_large_input_flags_reload(self):
-        l = layer(64, 256, 3, h=224, w=224, pad=1)
-        s = plan_layer(l, HW)
-        assert s.n_passes == 2
-        assert s.input_reload is True  # dense bound exceeds pixel memory
+    def test_multi_pass_large_input_flags_reload(self, rng):
+        s, stream_bytes = self._dense_stats(rng, layer(64, 256, 3, h=224, w=224, pad=1))
+        assert s.passes == 2
+        assert stream_bytes > HW.pixel_mem_bytes
+        assert s.input_reload is True  # every pass streams the input again
+        assert s.bytes_in == 2 * stream_bytes
 
-    def test_multi_pass_small_input_no_reload(self):
+    def test_multi_pass_small_input_no_reload(self, rng):
+        s, stream_bytes = self._dense_stats(rng, layer(64, 256, 3, h=14, w=14, pad=1))
+        assert s.passes == 2
+        assert s.input_reload is False
+        assert s.bytes_in == stream_bytes
+
+    def test_reload_threshold_is_the_input_stream_size(self):
         l = layer(64, 256, 3, h=14, w=14, pad=1)
-        s = plan_layer(l, HW)
-        assert s.n_passes == 2
-        assert s.input_reload is False
+        _, stream_bytes = self._dense_stats(np.random.default_rng(3), l)
+        fits, _ = self._dense_stats(
+            np.random.default_rng(3), l, HardwareConfig(pixel_mem_bytes=stream_bytes)
+        )
+        assert fits.input_reload is False
+        assert fits.bytes_in == stream_bytes
+        over, _ = self._dense_stats(
+            np.random.default_rng(3), l, HardwareConfig(pixel_mem_bytes=stream_bytes - 1)
+        )
+        assert over.input_reload is True
+        assert over.bytes_in == 2 * stream_bytes
+
+    @pytest.mark.parametrize("name", ["vgg16", "vgg19"])
+    def test_synthetic_reload_flag_matches_traffic(self, rng, name):
+        net = presets.network(name)
+        first = net.layers[0]
+        x = FeatureMapTensor(
+            rng.integers(1, 256, size=(first.n_in, first.h, first.w), dtype=np.int16),
+            QFormat(first.frac_in),
+        )
+        report, _ = run_network(net, x, synthetic_sparsity=0.82, seed=5)
+        multi = [e for e in report.layers if e["passes"] > 1]
+        assert multi
+        for e in multi:
+            assert e["input_reload"] == (e["bytes_in"] > HW.pixel_mem_bytes), e["name"]
 
 
 def test_controller_divides_macs_invariant():
