@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Optional, Union
 
 import numpy as np
@@ -214,7 +215,10 @@ class LayerStats:
         }
 
 
-def estimate_dram_energy(stats: LayerStats, pj_per_bit: float = 21.0) -> float:
+DRAM_PJ_PER_BIT = 21.0
+
+
+def estimate_dram_energy(stats: LayerStats, pj_per_bit: float = DRAM_PJ_PER_BIT) -> float:
     """DRAM access energy in joules for the traffic in ``stats``."""
     return stats.total_bytes * 8 * pj_per_bit * 1e-12
 
@@ -285,8 +289,9 @@ def _layer_stats(
     layer: LayerDescriptor,
     schedule: LayerSchedule,
     hw: HardwareConfig,
-    trace: Optional["_TraceWriter"] = None,
+    trace: Optional[IO[str]] = None,
 ) -> LayerStats:
+    tracer = _TraceWriter(trace) if trace is not None else None
     k = layer.k
     n_stripes = -(-layer.conv_h // 2)
     rows, cols, visits = _row_col_geometry(layer)
@@ -341,8 +346,8 @@ def _layer_stats(
         total.bytes_out += 4 * out_words
         total.bytes_kernels += 2 * pas.kernel_values
         total.passes += 1
-        if trace is not None:
-            trace.emit_pass(load_p, prefill_p, overlap, visits_sum, nnz_out, k)
+        if tracer is not None:
+            tracer.emit_pass(load_p, prefill_p, overlap, visits_sum, nnz_out, k)
     return total
 
 
@@ -417,9 +422,16 @@ def _forward_pipeline(
 
 @dataclass
 class SimResult:
-    stream: Union[CompressedStream, RawPixelStream]
     tensor: FeatureMapTensor
     stats: LayerStats
+    layer: LayerDescriptor
+
+    @cached_property
+    def stream(self) -> Union[CompressedStream, RawPixelStream]:
+        """The layer's output as the accelerator writes it, encoded on first use."""
+        if self.layer.encode:
+            return codec.encode(self.tensor)
+        return codec.encode_raw(self.tensor)
 
 
 class _TraceWriter:
@@ -491,13 +503,8 @@ def simulate_layer(
     else:
         _check_schedule(layer, schedule)
     out_tensor = _forward_pipeline(in_tensor.values, kern, layer, schedule)
-    tracer = _TraceWriter(trace) if trace is not None else None
-    stats = _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw, tracer)
-    if layer.encode:
-        stream: Union[CompressedStream, RawPixelStream] = codec.encode(out_tensor)
-    else:
-        stream = codec.encode_raw(out_tensor)
-    return SimResult(stream=stream, tensor=out_tensor, stats=stats)
+    stats = _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw, trace)
+    return SimResult(tensor=out_tensor, stats=stats, layer=layer)
 
 
 def simulate_layer_stats(
@@ -506,11 +513,14 @@ def simulate_layer_stats(
     layer: LayerDescriptor,
     schedule: Optional[LayerSchedule] = None,
     hw: Optional[HardwareConfig] = None,
+    trace: Optional[IO[str]] = None,
 ) -> LayerStats:
     """Performance model only, with a caller-supplied output tensor.
 
     Used for what-if runs with synthetic activations, where kernel values
-    are unavailable and the functional result is not of interest.
+    are unavailable and the functional result is not of interest.  The
+    ``trace`` lines are those :func:`simulate_layer` writes for the same
+    input and output.
     """
     hw = hw or HardwareConfig()
     if schedule is None:
@@ -522,4 +532,4 @@ def simulate_layer_stats(
             f"stand-in output {out_tensor.values.shape} does not match "
             f"layer output {layer.out_shape}"
         )
-    return _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw)
+    return _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw, trace)

@@ -34,7 +34,6 @@ from .fxp import QFormat
 from .netmodel import FeatureMapTensor, NetworkDescriptor
 
 DEFAULT_SYNTHETIC_SPARSITY = 0.82
-DRAM_PJ_PER_BIT = 21.0
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def _finish_report(
     fps = 1.0 / seconds if seconds > 0 else 0.0
     gop_s = gop_frame * fps
     total_bytes = sum(s.total_bytes for s in stats_list)
-    energy = total_bytes * 8 * DRAM_PJ_PER_BIT * 1e-12
+    energy = total_bytes * 8 * accel.DRAM_PJ_PER_BIT * 1e-12
     load = sum(s.cycles_kernel_load for s in stats_list)
     report.totals = {
         "cycles_total": cycles,
@@ -141,6 +140,11 @@ def run_network(
             f"input {(input_tensor.channels, input_tensor.height, input_tensor.width)}"
             f" does not match layer 1 ({first.n_in}, {first.h}, {first.w})"
         )
+    if input_tensor.qformat.frac_bits != first.frac_in:
+        raise netmodel.ValidationError(
+            f"input has {input_tensor.qformat.frac_bits} fractional bits, "
+            f"layer 1 expects {first.frac_in}"
+        )
     report = RunReport(
         network=net.name, clock_hz=hw.clock_hz, macs=hw.macs,
         synthetic_sparsity=synthetic_sparsity,
@@ -149,32 +153,31 @@ def run_network(
     rng = np.random.default_rng(seed)
     current = input_tensor
     final_vec: Optional[np.ndarray] = None
-    if synthetic_sparsity is not None:
-        for layer in net.layers:
-            schedule = accel.plan_layer(layer, hw)
+    for i, layer in enumerate(net.layers):
+        if synthetic_sparsity is None and layer.weights_path is None:
+            raise netmodel.ValidationError(
+                f"layer {i} has no weights file; use synthetic mode for "
+                "shape-only descriptors"
+            )
+        schedule = accel.plan_layer(layer, hw)
+        if trace is not None:
+            trace.write(f"# layer {i} {layer.name}\n")
+        if synthetic_sparsity is None:
+            kern = netmodel.load_weights(layer.weights_path)
+            sim = accel.simulate_layer(current, kern, layer, schedule, hw, trace=trace)
+            out_t, stats = sim.tensor, sim.stats
+        else:
             c, oh, ow = layer.out_shape
             out_t = netmodel.synthetic_tensor(
                 c, oh, ow, synthetic_sparsity, rng, QFormat(layer.frac_out)
             )
-            stats = accel.simulate_layer_stats(current, out_t, layer, schedule, hw)
-            stats_list.append(stats)
-            report.layers.append(_layer_entry(layer, schedule, stats))
-            current = out_t
-    else:
-        for i, layer in enumerate(net.layers):
-            if layer.weights_path is None:
-                raise netmodel.ValidationError(
-                    f"layer {i} has no weights file; use synthetic mode for "
-                    "shape-only descriptors"
-                )
-            kern = netmodel.load_weights(layer.weights_path)
-            schedule = accel.plan_layer(layer, hw)
-            if trace is not None:
-                trace.write(f"# layer {i} {layer.name}\n")
-            sim = accel.simulate_layer(current, kern, layer, schedule, hw, trace=trace)
-            stats_list.append(sim.stats)
-            report.layers.append(_layer_entry(layer, schedule, sim.stats))
-            current = sim.tensor
+            stats = accel.simulate_layer_stats(
+                current, out_t, layer, schedule, hw, trace=trace
+            )
+        stats_list.append(stats)
+        report.layers.append(_layer_entry(layer, schedule, stats))
+        current = out_t
+    if synthetic_sparsity is None:
         vec = netmodel.stream_order_values(current).astype(np.int64)
         for d in net.fc:
             if d.weights_path is None:

@@ -299,32 +299,6 @@ def decode(s: CompressedStream, dims=None) -> FeatureMapTensor:
     return FeatureMapTensor(values, QFormat(s.frac_bits))
 
 
-def iter_nonzero(s: CompressedStream) -> Iterator[tuple[int, int, int, int]]:
-    """Stream (channel, x, y, raw) for every non-zero pixel, in stream order."""
-    c = s.channels
-    for y, row in iter_rows(s):
-        for flat in np.flatnonzero(row):
-            yield (int(flat) % c, int(flat) // c, y, int(row[flat]))
-
-
-def row_field_offsets(s: CompressedStream) -> np.ndarray:
-    """Field offset of each row's first SM segment (the decoder's row pointers)."""
-    fields = s.fields()
-    row_px = s.width * s.channels
-    offsets = np.zeros(s.height, dtype=np.int64)
-    pos = 0
-    for y in range(s.height):
-        offsets[y] = pos
-        filled = 0
-        while filled < row_px:
-            if pos >= len(fields):
-                raise StreamError("truncated stream while scanning rows", pos // 2)
-            sm = int(fields[pos])
-            pos += 1 + bin(sm).count("1")
-            filled += min(SEGMENT_BITS, row_px - filled)
-    return offsets
-
-
 # ---------------------------------------------------------------------------
 # run-length baseline
 

@@ -69,11 +69,6 @@ def quantize_array(x: np.ndarray, q: QFormat) -> np.ndarray:
     return np.clip(scaled, I16_MIN, I16_MAX).astype(np.int16)
 
 
-def to_real(raw, q: QFormat):
-    """Interpret raw value(s) under ``q``; mostly for debugging and reports."""
-    return np.asarray(raw, dtype=np.float64) / q.scale
-
-
 def mac(acc: int, a: int, b: int) -> int:
     """One multiply-accumulate step: ``acc + a*b`` saturated to 32 bits.
 

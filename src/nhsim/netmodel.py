@@ -33,7 +33,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -91,15 +91,6 @@ class FeatureMapTensor:
         return self.values.size
 
 
-def stream_order_iter(t: FeatureMapTensor) -> Iterator[tuple[int, int, int, int]]:
-    """Yield every pixel exactly once as (channel, x, y, raw) in stream order."""
-    v = t.values
-    for y in range(t.height):
-        for x in range(t.width):
-            for i in range(t.channels):
-                yield (i, x, y, int(v[i, y, x]))
-
-
 def stream_order_values(t: FeatureMapTensor) -> np.ndarray:
     """Flat int16 view of the tensor in canonical stream order."""
     return np.ascontiguousarray(np.transpose(t.values, (1, 2, 0))).reshape(-1)
@@ -110,6 +101,39 @@ def sparsity(t: FeatureMapTensor) -> float:
     if t.pixel_count == 0:
         raise ValidationError("sparsity of empty tensor is undefined")
     return float(np.count_nonzero(t.values == 0)) / t.pixel_count
+
+
+def _markov_nonzero(
+    n: int, target_sparsity: float, burst_mean: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Non-zero mask of a two-state Markov chain over the flat stream.
+
+    Mean zero-run length ``burst_mean``, stationary zero probability
+    ``target_sparsity``.  Step j moves from zero to ``u[j] >= p_exit_zero``
+    and from non-zero to ``u[j] < p_enter_zero``.  Where both give the same
+    state the step resets to it, where only the move from non-zero enters
+    zero it toggles, and otherwise it holds; so each state is the last reset
+    (or the initial draw) XOR the parity of the toggles since then.
+    """
+    p_exit_zero = min(1.0, 1.0 / burst_mean)
+    s = target_sparsity
+    p_enter_zero = (
+        1.0 if s >= 1.0 else min(1.0, p_exit_zero * s / max(1e-12, 1.0 - s))
+    )
+    u = rng.random(n)
+    first = rng.random() < s
+    in_zero = np.empty(n, dtype=bool)
+    in_zero[:1] = first
+    a = u[:-1] >= p_exit_zero
+    b = u[:-1] < p_enter_zero
+    reset = a == b
+    toggles = np.cumsum(b & ~a)
+    last = np.maximum.accumulate(np.where(reset, np.arange(n - 1), -1))
+    has_reset = last >= 0
+    base = np.where(has_reset, a[last], first)
+    since = toggles - np.where(has_reset, toggles[last], 0)
+    in_zero[1:] = base ^ (since & 1).astype(bool)
+    return ~in_zero
 
 
 def synthetic_tensor(
@@ -125,35 +149,27 @@ def synthetic_tensor(
 
     With ``burst_mean`` set, zeros arrive in runs of that mean length along
     the stream order, mimicking the clustered inactivity of post-ReLU
-    feature maps; otherwise zero positions are i.i.d. uniform.
+    feature maps; otherwise zero positions are i.i.d. uniform.  Non-zero
+    values are uniform in +-[1, 4095].  The values are generated in stream
+    order, so ``values`` is a (channel, row, column) view of a stream-order
+    buffer, not a C-contiguous array.
     """
     n = channels * height * width
     if not 0.0 <= target_sparsity <= 1.0:
         raise ValidationError("sparsity must be in [0, 1]")
     if burst_mean is None:
-        mask = rng.random(n) >= target_sparsity  # True = non-zero
+        nonzero = rng.random(n) >= target_sparsity
     else:
-        # two-state Markov chain over the flat stream: mean zero-run length
-        # burst_mean, stationary zero probability target_sparsity
-        p_exit_zero = min(1.0, 1.0 / burst_mean)
-        s = target_sparsity
-        p_enter_zero = (
-            1.0 if s >= 1.0 else min(1.0, p_exit_zero * s / max(1e-12, 1.0 - s))
-        )
-        u = rng.random(n)
-        mask = np.empty(n, dtype=bool)
-        in_zero = rng.random() < s
-        for j in range(n):
-            mask[j] = not in_zero
-            if in_zero:
-                in_zero = u[j] >= p_exit_zero
-            else:
-                in_zero = u[j] < p_enter_zero
-    vals = rng.integers(1, 1 << 12, size=n, dtype=np.int16)
-    signs = rng.integers(0, 2, size=n, dtype=np.int16) * 2 - 1
-    flat = np.where(mask, vals * signs, 0).astype(np.int16)
-    shaped = flat.reshape(height, width, channels).transpose(2, 0, 1)
-    return FeatureMapTensor(np.ascontiguousarray(shaped), qformat)
+        nonzero = _markov_nonzero(n, target_sparsity, burst_mean, rng)
+    flat = rng.integers(1, 1 << 12, size=n, dtype=np.int16)
+    # sign draw 0 negates: with m = -1, (v ^ m) - m == -v; with m = 0, v
+    m = rng.integers(0, 2, size=n, dtype=np.int16)
+    m -= 1
+    flat ^= m
+    flat -= m
+    flat *= nonzero
+    values = flat.reshape(height, width, channels).transpose(2, 0, 1)
+    return FeatureMapTensor(values, qformat)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +290,6 @@ class LayerDescriptor:
         return self.n_out * self.n_in * self.k * self.k * self.conv_h * self.conv_w
 
     @property
-    def in_qformat(self) -> QFormat:
-        return QFormat(self.frac_in)
-
-    @property
     def out_qformat(self) -> QFormat:
         return QFormat(self.frac_out)
 
@@ -313,6 +325,16 @@ class NetworkDescriptor:
                     f"layer {i} output {a.out_shape} does not match "
                     f"layer {i + 1} input ({b.n_in}, {b.h}, {b.w})"
                 )
+            if a.frac_out != b.frac_in:
+                raise ValidationError(
+                    f"layer {i} writes {a.frac_out} fractional bits, "
+                    f"layer {i + 1} reads {b.frac_in}"
+                )
+        if self.fc and self.layers[-1].frac_out != self.fc[0].frac_in:
+            raise ValidationError(
+                f"layer {len(self.layers) - 1} writes {self.layers[-1].frac_out} "
+                f"fractional bits, fc 0 reads {self.fc[0].frac_in}"
+            )
 
 
 _LAYER_KEYS = (
@@ -359,6 +381,9 @@ def load_network(path: str) -> NetworkDescriptor:
             raise ValidationError(f"{path}: layer {idx}: {e}") from e
     fc = []
     for idx, entry in enumerate(doc.get("fc", []) or []):
+        missing = [kk for kk in ("n_in", "n_out") if kk not in entry]
+        if missing:
+            raise FileFormatError(f"{path}: fc {idx} missing keys {missing}")
         fc.append(
             DenseLayerDescriptor(
                 n_in=int(entry["n_in"]), n_out=int(entry["n_out"]),

@@ -5,18 +5,95 @@ scalar fixed-point ops, on purpose: it shares no code path with either the
 vectorized golden model or the pipeline simulator it cross-checks.  The
 scalar stripe oracles (:func:`weight_ops_for_pixel`, :func:`decode_stripe`)
 likewise walk single pixels, to cross-check the accelerator's separable
-per-row and per-column performance model.
+per-row and per-column performance model.  The stream-order and decoder
+oracles walk pixels and fields one at a time, and
+:func:`reference_synthetic_tensor` keeps the original per-pixel generator
+that the vectorised one must reproduce bit for bit.
 """
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 import pytest
 
 from nhsim import codec, fxp
-from nhsim.codec import CompressedStream
+from nhsim.codec import CompressedStream, StreamError
 from nhsim.fxp import QFormat
-from nhsim.netmodel import FeatureMapTensor, KernelSet, LayerDescriptor
+from nhsim.netmodel import FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError
+
+
+def stream_order_iter(t: FeatureMapTensor) -> Iterator[tuple[int, int, int, int]]:
+    """Yield every pixel exactly once as (channel, x, y, raw) in stream order."""
+    v = t.values
+    for y in range(t.height):
+        for x in range(t.width):
+            for i in range(t.channels):
+                yield (i, x, y, int(v[i, y, x]))
+
+
+def iter_nonzero(s: CompressedStream) -> Iterator[tuple[int, int, int, int]]:
+    """Stream (channel, x, y, raw) for every non-zero pixel, in stream order."""
+    c = s.channels
+    for y, row in codec.iter_rows(s):
+        for flat in np.flatnonzero(row):
+            yield (int(flat) % c, int(flat) // c, y, int(row[flat]))
+
+
+def row_field_offsets(s: CompressedStream) -> np.ndarray:
+    """Field offset of each row's first SM segment (the decoder's row pointers)."""
+    fields = s.fields()
+    row_px = s.width * s.channels
+    offsets = np.zeros(s.height, dtype=np.int64)
+    pos = 0
+    for y in range(s.height):
+        offsets[y] = pos
+        filled = 0
+        while filled < row_px:
+            if pos >= len(fields):
+                raise StreamError("truncated stream while scanning rows", pos // 2)
+            sm = int(fields[pos])
+            pos += 1 + bin(sm).count("1")
+            filled += min(codec.SEGMENT_BITS, row_px - filled)
+    return offsets
+
+
+def reference_synthetic_tensor(
+    channels: int,
+    height: int,
+    width: int,
+    target_sparsity: float,
+    rng: np.random.Generator,
+    qformat: QFormat = QFormat(8),
+    burst_mean: Optional[float] = None,
+) -> FeatureMapTensor:
+    """The per-pixel form of :func:`nhsim.netmodel.synthetic_tensor`."""
+    n = channels * height * width
+    if not 0.0 <= target_sparsity <= 1.0:
+        raise ValidationError("sparsity must be in [0, 1]")
+    if burst_mean is None:
+        mask = rng.random(n) >= target_sparsity  # True = non-zero
+    else:
+        # two-state Markov chain over the flat stream: mean zero-run length
+        # burst_mean, stationary zero probability target_sparsity
+        p_exit_zero = min(1.0, 1.0 / burst_mean)
+        s = target_sparsity
+        p_enter_zero = (
+            1.0 if s >= 1.0 else min(1.0, p_exit_zero * s / max(1e-12, 1.0 - s))
+        )
+        u = rng.random(n)
+        mask = np.empty(n, dtype=bool)
+        in_zero = rng.random() < s
+        for j in range(n):
+            mask[j] = not in_zero
+            if in_zero:
+                in_zero = u[j] >= p_exit_zero
+            else:
+                in_zero = u[j] < p_enter_zero
+    vals = rng.integers(1, 1 << 12, size=n, dtype=np.int16)
+    signs = rng.integers(0, 2, size=n, dtype=np.int16) * 2 - 1
+    flat = np.where(mask, vals * signs, 0).astype(np.int16)
+    shaped = flat.reshape(height, width, channels).transpose(2, 0, 1)
+    return FeatureMapTensor(np.ascontiguousarray(shaped), qformat)
 
 
 def naive_layer_forward(t: FeatureMapTensor, layer: LayerDescriptor, kern: KernelSet):

@@ -3,7 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from conftest import decode_stripe, random_kernels, random_tensor, weight_ops_for_pixel
+from conftest import (
+    decode_stripe,
+    random_kernels,
+    random_tensor,
+    stream_order_iter,
+    weight_ops_for_pixel,
+)
 from nhsim import accel, codec, netmodel, refmodel
 from nhsim.accel import (
     HardwareConfig,
@@ -76,7 +82,7 @@ class TestDecodeStripe:
             }
             want = {
                 (i, x, y)
-                for (i, x, y, v) in netmodel.stream_order_iter(t)
+                for (i, x, y, v) in stream_order_iter(t)
                 if v != 0 and top <= y <= top + k_h
             }
             assert emitted == want
@@ -345,6 +351,33 @@ class TestTrace:
             assert int(pin) <= layer.k + 1
             assert int(pout) <= HW.output_pixels_per_cycle
         assert {"kernel_load", "overlap"} <= seen_phases
+
+    def test_stats_only_trace_matches_full_sim(self, rng):
+        layer = LayerDescriptor(n_in=3, n_out=130, h=6, w=6, k=3, pad=1, pool=True)
+        t = random_tensor(rng, 3, 6, 6, sparsity=0.4)
+        full, stats_only = io.StringIO(), io.StringIO()
+        sim = simulate_layer(t, random_kernels(rng, 130, 3, 3), layer, trace=full)
+        simulate_layer_stats(t, sim.tensor, layer, trace=stats_only)
+        assert sim.stats.passes == 2
+        assert stats_only.getvalue() == full.getvalue()
+
+
+class TestLazyStream:
+    def test_stream_encoded_once_on_first_read(self, rng, monkeypatch):
+        calls = []
+        real_encode = codec.encode
+        monkeypatch.setattr(codec, "encode", lambda t: calls.append(t) or real_encode(t))
+        layer = LayerDescriptor(n_in=2, n_out=8, h=8, w=8, k=3, pad=1)
+        t = random_tensor(rng, 2, 8, 8, sparsity=0.4)
+        sim = simulate_layer(t, random_kernels(rng, 8, 2, 3), layer)
+        assert calls == []
+        first = sim.stream
+        assert sim.stream is first
+        assert len(calls) == 1
+        want = real_encode(sim.tensor)
+        assert isinstance(first, codec.CompressedStream)
+        assert first.field_count == want.field_count
+        assert first.words.tobytes() == want.words.tobytes()
 
 
 class TestEnergy:

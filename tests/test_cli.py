@@ -120,6 +120,35 @@ class TestRunNetwork:
         with pytest.raises(ValidationError):
             run_network(net, random_tensor(rng, 1, 32, 32), synthetic_sparsity=0.8)
 
+    def test_input_format_mismatch_rejected(self, rng):
+        net = presets.network("roshambo")
+        with pytest.raises(ValidationError, match="fractional bits"):
+            run_network(net, random_tensor(rng, 1, 64, 64, frac=10), synthetic_sparsity=0.8)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("roshambo", "a94bbc071992d1f5aeea20eea1a180f60f865d79d36d67703a4005cd50f479e4"),
+        ("vgg16", "4ec3e855de6bae66eff549b767becf696dbac67b00ac0927c9330197dcfafd8a"),
+    ])
+    def test_synthetic_report_matches_recorded_output(self, name, digest):
+        # Recorded from the per-pixel activation generator; the vectorised
+        # one must draw the same stand-ins, so every number stays put.
+        net = presets.network(name)
+        first = net.layers[0]
+        x = random_tensor(np.random.default_rng(0), first.n_in, first.h, first.w)
+        report, _ = run_network(net, x, synthetic_sparsity=0.82, seed=0)
+        blob = json.dumps(report.as_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_synthetic_trace_covers_every_cycle(self, tmp_path, rng):
+        net = build_tiny_net(tmp_path, rng)
+        t = random_tensor(rng, 1, 8, 8, sparsity=0.3)
+        buf = io.StringIO()
+        report, _ = run_network(net, t, synthetic_sparsity=0.5, trace=buf)
+        lines = buf.getvalue().splitlines()
+        assert [l for l in lines if l.startswith("#")] == ["# layer 0 conv1", "# layer 1 conv2"]
+        cycles = [l for l in lines if not l.startswith("#")]
+        assert len(cycles) == report.totals["cycles_total"]
+
     def test_real_mode_requires_weights(self, rng):
         net = presets.network("roshambo")
         with pytest.raises(ValidationError, match="synthetic"):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import iter_nonzero, row_field_offsets, stream_order_iter
 from nhsim import codec, netmodel
 from nhsim.codec import (
     CompressedStream,
@@ -14,11 +15,9 @@ from nhsim.codec import (
     encode,
     encode_raw,
     field_count_for,
-    iter_nonzero,
     load_stream,
     rl_decode,
     rl_encode,
-    row_field_offsets,
     save_stream,
     threshold_sparsity,
 )
@@ -185,7 +184,7 @@ class TestRoundtripProperties:
         got = sorted(iter_nonzero(encode(t)))
         want = sorted(
             (i, x, y, v)
-            for (i, x, y, v) in netmodel.stream_order_iter(t)
+            for (i, x, y, v) in stream_order_iter(t)
             if v != 0
         )
         assert got == want

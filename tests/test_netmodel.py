@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_synthetic_tensor, stream_order_iter
 from nhsim import netmodel, presets
 from nhsim.fxp import QFormat
 from nhsim.netmodel import (
@@ -18,7 +21,6 @@ from nhsim.netmodel import (
     save_tensor,
     save_weights,
     sparsity,
-    stream_order_iter,
     stream_order_values,
 )
 
@@ -92,6 +94,41 @@ class TestSparsity:
     def test_synthetic_rejects_bad_sparsity(self, rng):
         with pytest.raises(ValidationError):
             netmodel.synthetic_tensor(1, 4, 4, 1.5, rng)
+
+
+def assert_same_as_reference(c, h, w, sp, burst_mean, seed):
+    """Same values, dtype and generator state as the per-pixel generator."""
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_synthetic_tensor(c, h, w, sp, want_rng, QFormat(6), burst_mean)
+    got = netmodel.synthetic_tensor(c, h, w, sp, got_rng, QFormat(6), burst_mean)
+    assert got.values.dtype == np.int16
+    assert got.values.shape == (c, h, w)
+    assert np.array_equal(got.values, want.values)
+    assert got.qformat == want.qformat
+    assert got_rng.random() == want_rng.random()
+
+
+class TestSyntheticMatchesReference:
+    @pytest.mark.parametrize("burst_mean", [None, 0.5, 1.0, 2.0, 128.0])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (1, 1, 7), (1, 5, 1), (4, 1, 1), (2, 3, 5), (16, 9, 7)]
+    )
+    def test_fixed_shapes(self, shape, burst_mean):
+        for seed, sp in enumerate([0.0, 1.0, 0.3, 0.82, 0.999]):
+            assert_same_as_reference(*shape, sp, burst_mean, seed)
+
+    def test_random_cases(self):
+        meta = np.random.default_rng(77)
+        for _ in range(200):
+            c, h, w = (int(x) for x in meta.integers(1, 13, size=3))
+            sp = float(meta.choice([0.0, 1.0, meta.random()]))
+            burst_mean = [None, 0.5, 1.0, float(meta.uniform(0.2, 300.0))][
+                int(meta.integers(0, 4))
+            ]
+            assert_same_as_reference(c, h, w, sp, burst_mean, int(meta.integers(1 << 31)))
+
+    def test_layer_sized_tensor(self):
+        assert_same_as_reference(64, 56, 56, 0.82, None, 5)
 
 
 class TestTensorLimits:
@@ -207,6 +244,36 @@ class TestNetworkDescriptors:
         p.write_text('{"layers": [{"n_in": 1, "n_out": 4}]}')
         with pytest.raises(netmodel.FileFormatError, match="missing keys"):
             load_network(str(p))
+
+    def test_format_chain_mismatch_between_layers(self):
+        layers = [
+            LayerDescriptor(n_in=1, n_out=4, h=8, w=8, k=3, frac_out=4),
+            LayerDescriptor(n_in=4, n_out=4, h=6, w=6, k=3, frac_in=12),
+        ]
+        with pytest.raises(ValidationError, match="layer 1 reads 12"):
+            NetworkDescriptor(layers)
+
+    def test_format_chain_mismatch_into_fc(self):
+        layers = [LayerDescriptor(n_in=1, n_out=4, h=8, w=8, k=3, frac_out=8)]
+        fc = [netmodel.DenseLayerDescriptor(n_in=144, n_out=2, frac_in=10)]
+        with pytest.raises(ValidationError, match="fc 0 reads 10"):
+            NetworkDescriptor(layers, fc)
+
+    @pytest.mark.parametrize("key", ["n_in", "n_out"])
+    def test_fc_entry_missing_size_rejected(self, tmp_path, key):
+        path = str(tmp_path / "net.json")
+        net = NetworkDescriptor(
+            [LayerDescriptor(n_in=1, n_out=4, h=8, w=8, k=3)],
+            [netmodel.DenseLayerDescriptor(n_in=144, n_out=2)],
+        )
+        save_network(net, path)
+        with open(path) as f:
+            doc = json.load(f)
+        del doc["fc"][0][key]
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(netmodel.FileFormatError, match=f"fc 0 missing keys \\['{key}'\\]"):
+            load_network(path)
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "net.json"
