@@ -263,26 +263,6 @@ def _input_counts(
     return updates @ rows, per_row.sum(axis=0)
 
 
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _output_segment_counts(out_values: np.ndarray) -> np.ndarray:
-    """Non-zero pixels of every 16-pixel encoder segment, per output row.
-
-    Rows are taken in stream order (columns outer, channels inner) and
-    zero-padded to whole segments, as :func:`codec.encode` groups them.
-    """
-    c, h, w = out_values.shape
-    row_px = w * c
-    segs = -(-row_px // codec.SEGMENT_BITS)
-    mask = np.empty((h, w, c), dtype=bool)
-    np.not_equal(out_values.transpose(1, 2, 0), 0, out=mask)
-    bits = np.zeros((h, 2 * segs), dtype=np.uint8)
-    bits[:, : -(-row_px // 8)] = np.packbits(mask.reshape(h, row_px), axis=1)
-    per_byte = _BYTE_POPCOUNT[bits]
-    return per_byte[:, 0::2] + per_byte[:, 1::2]
-
-
 def _layer_stats(
     in_values: np.ndarray,
     out_values: np.ndarray,
@@ -301,8 +281,7 @@ def _layer_stats(
     idp_bound = -(-visits_sum // (k + 1))
 
     # input stream size from the row-aligned encoding
-    row_px = layer.w * layer.n_in
-    row_fields = -(-row_px // codec.SEGMENT_BITS) + nnz_per_row
+    row_fields = codec.row_segments(layer.w, layer.n_in) + nnz_per_row
     stream_words = int(-(-row_fields.sum() // 2))
     prefill_rows = max(0, min(k - layer.pad + 1, layer.h))
     prefill_words = int(-(-row_fields[:prefill_rows].sum() // 2))
@@ -318,7 +297,7 @@ def _layer_stats(
 
         out_slice = out_values[pas.chan_start : pas.chan_start + c_p]
         if layer.encode:
-            seg_nnz = _output_segment_counts(out_slice)
+            seg_nnz = np.bitwise_count(codec.sparsity_maps(out_slice))
             nnz_out = int(seg_nnz.sum(dtype=np.int64))
             drain = seg_nnz.size + int((seg_nnz >> 1).sum(dtype=np.int64))
             out_words = -(-(seg_nnz.size + nnz_out) // 2)

@@ -446,7 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand; an nhsim error becomes one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (netmodel.ValidationError, netmodel.FileFormatError, codec.StreamError) as e:
+        print(f"nhsim: {e}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         net = netmodel.load_network(args.net)
         tensor = netmodel.load_tensor(args.input)

@@ -17,6 +17,17 @@ independently.  Rows are aligned to 16-bit field boundaries; the stream as
 a whole is padded with at most one zero field so it fits 32-bit words, and
 that padding is excluded from the field count carried alongside the words.
 
+Decoding
+--------
+An SM segment is followed by exactly as many values as it has set bits,
+so each header fixes where the next one starts.  :func:`decode` chases the
+headers from field 0 with one integer add per segment and checks each
+row's last SM for bits past the row end.  It then unpacks all SMs into one
+pixel mask and places every non-SM field with a single boolean scatter.
+A malformed stream raises :class:`StreamError` at the first fault met in
+stream order: an SM past the row end, an SM promising more values than
+remain, a row the stream ends inside, or fields left after the last row.
+
 ``.nhc`` container: magic ``NHC1``; little-endian u16 channels, u16 height,
 u16 width, u8 frac_bits, u32 word count, u8 trailing-pad flag; then the
 32-bit words.
@@ -33,7 +44,6 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -88,13 +98,11 @@ class CompressedStream:
         return 4 * self.word_count
 
     def fields(self) -> np.ndarray:
-        """The 16-bit fields as uint16, trailing pad stripped."""
-        lo = (self.words & 0xFFFF).astype(np.uint16)
-        hi = (self.words >> 16).astype(np.uint16)
-        out = np.empty(2 * len(self.words), dtype=np.uint16)
-        out[0::2] = lo
-        out[1::2] = hi
-        return out[: self.field_count]
+        """Read-only uint16 view of the fields, trailing pad stripped."""
+        out = np.ascontiguousarray(self.words, dtype="<u4").view("<u2")
+        out = out[: self.field_count]
+        out.flags.writeable = False
+        return out
 
 
 @dataclass
@@ -149,85 +157,86 @@ def threshold_sparsity(precision: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# sparsity maps
+
+
+def row_segments(w: int, c: int) -> int:
+    """SM segments per image row: every row starts a fresh segment."""
+    return -(-(w * c) // SEGMENT_BITS)
+
+
+def _stream_mask(values: np.ndarray) -> np.ndarray:
+    """(h, w, c) bool mask of the non-zero pixels of a (c, h, w) array."""
+    c, h, w = values.shape
+    mask = np.empty((h, w, c), dtype=bool)
+    np.not_equal(values.transpose(1, 2, 0), 0, out=mask)
+    return mask
+
+
+def _pack_maps(mask: np.ndarray) -> np.ndarray:
+    h, w, c = mask.shape
+    buf = np.zeros((h, 2 * row_segments(w, c)), dtype=np.uint8)
+    bits = np.packbits(mask.reshape(h, w * c), axis=1, bitorder="little")
+    buf[:, : bits.shape[1]] = bits
+    return buf.view("<u2")
+
+
+def sparsity_maps(values: np.ndarray) -> np.ndarray:
+    """(h, segments) uint16 SM words of a (c, h, w) array.
+
+    Bit ``b`` of segment ``s`` of row ``y`` is 1 iff pixel ``16*s + b`` of
+    that row, in stream order, is non-zero; bits past the row end are 0.
+    """
+    return _pack_maps(_stream_mask(values))
+
+
+def field_count_for(t: FeatureMapTensor) -> int:
+    """Field count :func:`encode` would produce, without building the stream."""
+    segs = row_segments(t.width, t.channels) * t.height
+    return segs + int(np.count_nonzero(t.values))
+
+
+# ---------------------------------------------------------------------------
 # encode
-
-
-def _row_pixels(t: FeatureMapTensor, y: int) -> np.ndarray:
-    # row y in stream order: columns outer, channels inner
-    return np.ascontiguousarray(t.values[:, y, :].T).reshape(-1)
-
-
-def _encode_row_fields(px: np.ndarray) -> np.ndarray:
-    """Interleaved fields (uint16) for one image row."""
-    n = len(px)
-    mask = px != 0
-    n_chunks = -(-n // SEGMENT_BITS)
-    idx = np.arange(n)
-    chunk_id = idx // SEGMENT_BITS
-    bit = idx % SEGMENT_BITS
-    sm = np.zeros(n_chunks, dtype=np.int64)
-    np.add.at(sm, chunk_id[mask], np.int64(1) << bit[mask])
-    nnz_per_chunk = np.bincount(chunk_id[mask], minlength=n_chunks)
-    prefix = np.concatenate([[0], np.cumsum(nnz_per_chunk)])[:-1]
-    fields = np.zeros(n_chunks + int(nnz_per_chunk.sum()), dtype=np.uint16)
-    sm_pos = np.arange(n_chunks) + prefix
-    fields[sm_pos] = sm.astype(np.uint16)
-    if mask.any():
-        rank = np.cumsum(mask) - 1
-        val_pos = sm_pos[chunk_id[mask]] + 1 + (rank[mask] - prefix[chunk_id[mask]])
-        fields[val_pos] = px[mask].astype(np.int16).view(np.uint16)
-    return fields
-
-
-def _pack_fields(fields: np.ndarray) -> tuple[np.ndarray, int]:
-    count = len(fields)
-    if count % 2:
-        fields = np.concatenate([fields, np.zeros(1, dtype=np.uint16)])
-    arr = fields.astype(np.uint32)
-    words = arr[0::2] | (arr[1::2] << 16)
-    return words, count
 
 
 def encode(t: FeatureMapTensor) -> CompressedStream:
     """Compress a tensor into the interleaved SM / non-zero-value format."""
-    fields = np.concatenate(
-        [_encode_row_fields(_row_pixels(t, y)) for y in range(t.height)]
-    )
-    words, count = _pack_fields(fields)
-    return CompressedStream(
-        words, count, t.channels, t.height, t.width, t.qformat.frac_bits
-    )
+    c, h, w = t.values.shape
+    mask = _stream_mask(t.values)
+    sm = _pack_maps(mask).reshape(-1)
+    nonzero = t.values.transpose(1, 2, 0)[mask]
+    del mask  # one byte a pixel: free it before the field buffers exist
+    sizes = np.bitwise_count(sm) + np.uint8(1)  # each SM and its values
+    starts = np.cumsum(sizes, dtype=np.int64)
+    count = int(starts[-1])
+    starts -= sizes
+    fields = np.zeros(count + count % 2, dtype="<u2")
+    fields[starts] = sm
+    is_value = np.ones(count, dtype=bool)
+    is_value[starts] = False
+    fields[:count][is_value] = nonzero.view(np.uint16)
+    return CompressedStream(fields.view("<u4"), count, c, h, w, t.qformat.frac_bits)
 
 
 def encode_raw(t: FeatureMapTensor) -> RawPixelStream:
     """Pack every pixel (zeros included) two per word, no sparsity maps."""
-    px = np.transpose(t.values, (1, 2, 0)).reshape(-1).astype(np.uint16)
-    n = len(px)
-    if n % 2:
-        px = np.concatenate([px, np.zeros(1, dtype=np.uint16)])
-    words = px[0::2].astype(np.uint32) | (px[1::2].astype(np.uint32) << 16)
-    return RawPixelStream(words, n, t.channels, t.height, t.width, t.qformat.frac_bits)
+    n = t.values.size
+    px = np.zeros(n + n % 2, dtype="<i2")
+    px[:n].reshape(t.height, t.width, t.channels)[...] = t.values.transpose(1, 2, 0)
+    return RawPixelStream(
+        px.view("<u4"), n, t.channels, t.height, t.width, t.qformat.frac_bits
+    )
 
 
 def decode_raw(s: RawPixelStream) -> FeatureMapTensor:
-    lo = (s.words & 0xFFFF).astype(np.uint16)
-    hi = (s.words >> 16).astype(np.uint16)
-    px = np.empty(2 * len(s.words), dtype=np.uint16)
-    px[0::2] = lo
-    px[1::2] = hi
-    flat = px[: s.pixel_count].astype(np.int16)
-    values = flat.reshape(s.height, s.width, s.channels).transpose(2, 0, 1)
-    return FeatureMapTensor(np.ascontiguousarray(values), QFormat(s.frac_bits))
+    px = np.ascontiguousarray(s.words, dtype="<u4").view("<i2")[: s.pixel_count]
+    values = px.astype(np.int16).reshape(s.height, s.width, s.channels)
+    return FeatureMapTensor(values.transpose(2, 0, 1), QFormat(s.frac_bits))
 
 
 # ---------------------------------------------------------------------------
 # decode
-
-def field_count_for(t: FeatureMapTensor) -> int:
-    """Field count :func:`encode` would produce, without building the stream."""
-    row_px = t.width * t.channels
-    segs = -(-row_px // SEGMENT_BITS) * t.height
-    return segs + int(np.count_nonzero(t.values))
 
 
 def _check_dims(s: CompressedStream, dims) -> tuple[int, int, int]:
@@ -242,61 +251,70 @@ def _check_dims(s: CompressedStream, dims) -> tuple[int, int, int]:
     return c, h, w
 
 
-def iter_rows(s: CompressedStream, dims=None) -> Iterator[tuple[int, np.ndarray]]:
-    """Decode row by row, yielding (y, row pixels in stream order).
+def _segment_starts(fields: np.ndarray, n_segs: int) -> tuple[np.ndarray, int]:
+    """Field offsets of the SM segments, chased from field 0.
 
-    Works segment-by-segment; no dense intermediate beyond one image row.
-    Raises :class:`StreamError` on truncation, on an SM bit past the end of
-    a row, or on fields left over after the last row.
+    Each SM is followed by as many values as it has set bits.  Returns the
+    offsets of the segments that start inside the stream (at most
+    ``n_segs``) and the offset just past the last of them.
     """
-    c, h, w = _check_dims(s, dims)
-    fields = s.fields()
-    values_i16 = fields.view(np.int16)
-    row_px = w * c
-    pos = 0  # field cursor
-    for y in range(h):
-        row = np.zeros(row_px, dtype=np.int16)
-        filled = 0
-        while filled < row_px:
-            if pos >= len(fields):
-                raise StreamError(
-                    f"truncated stream: row {y} ends after {filled}/{row_px} pixels",
-                    pos // 2,
-                )
-            sm = int(fields[pos])
-            pos += 1
-            group = min(SEGMENT_BITS, row_px - filled)
-            if sm >> group:
-                raise StreamError(
-                    f"SM marks pixels past the end of row {y}", (pos - 1) // 2
-                )
-            n_vals = bin(sm).count("1")
-            if pos + n_vals > len(fields):
-                raise StreamError(
-                    f"truncated stream: SM promises {n_vals} pixels, "
-                    f"{len(fields) - pos} left", len(fields) // 2,
-                )
-            b = sm
-            while b:
-                offset = (b & -b).bit_length() - 1
-                row[filled + offset] = values_i16[pos]
-                pos += 1
-                b &= b - 1
-            filled += group
-        yield y, row
-    if pos != len(fields):
-        raise StreamError(
-            f"{len(fields) - pos} fields left over after the last row", pos // 2
-        )
+    step = memoryview(np.bitwise_count(fields) + np.uint8(1))
+    starts = np.empty(n_segs, dtype=np.int64)
+    at = memoryview(starts)
+    pos = 0
+    try:
+        for i in range(n_segs):
+            at[i] = pos
+            pos += step[pos]
+    except IndexError:  # segment i would start at or past the stream end
+        return starts[:i], pos
+    return starts, pos
 
 
 def decode(s: CompressedStream, dims=None) -> FeatureMapTensor:
-    """Exact inverse of :func:`encode`."""
+    """Exact inverse of :func:`encode`.
+
+    Raises :class:`StreamError` on truncation, on an SM bit past the end of
+    a row, or on fields left over after the last row; when a stream has
+    several faults, the one met first in stream order is reported.
+    """
     c, h, w = _check_dims(s, dims)
-    values = np.zeros((c, h, w), dtype=np.int16)
-    for y, row in iter_rows(s, dims):
-        values[:, y, :] = row.reshape(w, c).T
-    return FeatureMapTensor(values, QFormat(s.frac_bits))
+    row_px = w * c
+    segs = row_segments(w, c)
+    fields = s.fields()
+    n_fields = len(fields)
+    starts, end = _segment_starts(fields, h * segs)
+
+    # a row's last SM covers row_px - 16*(segs-1) pixels; higher bits overrun
+    tail_px = row_px - SEGMENT_BITS * (segs - 1)
+    if tail_px < SEGMENT_BITS:
+        tails = starts[segs - 1 :: segs]
+        bad = np.flatnonzero(fields[tails] >> tail_px)
+        if len(bad):
+            y = int(bad[0])
+            raise StreamError(f"SM marks pixels past the end of row {y}", int(tails[y]) // 2)
+    if end > n_fields:
+        n_vals = int(np.bitwise_count(fields[starts[-1]]))
+        raise StreamError(
+            f"truncated stream: SM promises {n_vals} pixels, "
+            f"{n_fields - int(starts[-1]) - 1} left", n_fields // 2,
+        )
+    if len(starts) < h * segs:
+        y, seg = divmod(len(starts), segs)
+        raise StreamError(
+            f"truncated stream: row {y} ends after {SEGMENT_BITS * seg}/{row_px} pixels",
+            end // 2,
+        )
+    if end != n_fields:
+        raise StreamError(f"{n_fields - end} fields left over after the last row", end // 2)
+
+    maps = fields[starts].reshape(h, segs).view(np.uint8)
+    nonzero = np.delete(fields, starts).view(np.int16)
+    del starts  # eight bytes a segment: free it before the pixel mask exists
+    mask = np.unpackbits(maps, axis=1, count=row_px, bitorder="little").view(bool)
+    values = np.zeros((h, w, c), dtype=np.int16)
+    values.reshape(h, row_px)[mask] = nonzero
+    return FeatureMapTensor(values.transpose(2, 0, 1), QFormat(s.frac_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +342,22 @@ def rl_encode(t: FeatureMapTensor) -> tuple[int, list[tuple[int, int]]]:
     return (RL_RUN_BITS + RL_VALUE_BITS) * len(pairs), pairs
 
 
+def rl_bits(t: FeatureMapTensor) -> int:
+    """Bits :func:`rl_encode` uses, in closed form from the zero runs.
+
+    One pair per non-zero pixel; one (31, 0) pair per 32 zeros of a run,
+    its value field taking the 32nd zero; and one flush pair when the
+    trailing run has zeros left over after those.
+    """
+    per_pair = RL_MAX_RUN + 1
+    nz = np.flatnonzero(_stream_mask(t.values))
+    trailing = t.pixel_count - 1 - (int(nz[-1]) if len(nz) else -1)
+    runs = np.diff(nz, prepend=-1) - 1  # zeros before each non-zero
+    escapes = int((runs // per_pair).sum()) + trailing // per_pair
+    pairs = len(nz) + escapes + (trailing % per_pair > 0)
+    return (RL_RUN_BITS + RL_VALUE_BITS) * pairs
+
+
 def rl_decode(pairs: list[tuple[int, int]], pixel_count: int) -> np.ndarray:
     """Expand (run, value) pairs back to a flat pixel array of known length."""
     out = np.zeros(pixel_count, dtype=np.int16)
@@ -344,12 +378,11 @@ def report_for(t: FeatureMapTensor, precision: int = 16) -> CompressionReport:
     from .netmodel import sparsity as _sparsity
 
     sp = _sparsity(t)
-    rl_b, _ = rl_encode(t)
     return CompressionReport(
         raw_bits=t.pixel_count * precision,
         sm_bits=SEGMENT_BITS * field_count_for(t),
         cis_bits=cis_bits(t.pixel_count, precision, sp),
-        rl_bits=rl_b,
+        rl_bits=rl_bits(t),
         sparsity=sp,
     )
 

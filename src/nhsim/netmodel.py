@@ -341,6 +341,38 @@ _LAYER_KEYS = (
     "n_in", "n_out", "k", "h", "w", "pad",
     "relu", "pool", "encode", "frac_in", "frac_w", "frac_out",
 )
+_LAYER_FLAGS = ("relu", "pool", "encode")
+
+
+def _object_list(path: str, key: str, entries, what: str) -> list[dict]:
+    """``entries`` (the value of ``key``) checked to be a list of objects."""
+    if not isinstance(entries, list):
+        raise FileFormatError(
+            f"{path}: {key!r} must be a list of objects, got {type(entries).__name__}"
+        )
+    for idx, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FileFormatError(
+                f"{path}: {what} {idx} must be an object, got {type(entry).__name__}"
+            )
+    return entries
+
+
+def _int_field(path: str, where: str, entry: dict, key: str, default=None) -> int:
+    value = entry.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise FileFormatError(
+            f"{path}: {where} field {key!r} is not an integer: {value!r}"
+        ) from None
+
+
+def _flag_field(path: str, where: str, entry: dict, key: str, default=None) -> bool:
+    value = entry.get(key, default)
+    if value not in (True, False):  # admits 0 and 1, not "false"
+        raise FileFormatError(f"{path}: {where} field {key!r} is not a boolean: {value!r}")
+    return bool(value)
 
 
 def load_network(path: str) -> NetworkDescriptor:
@@ -354,44 +386,49 @@ def load_network(path: str) -> NetworkDescriptor:
         raise FileFormatError(f"{path}: missing 'layers'")
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
+    def resolve(where, entry):
+        p = entry.get("weights")
         if p is None:
             return None
+        if not isinstance(p, str):
+            raise FileFormatError(f"{path}: {where} field 'weights' is not a path: {p!r}")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     layers = []
-    for idx, entry in enumerate(doc["layers"]):
+    for idx, entry in enumerate(_object_list(path, "layers", doc["layers"], "layer")):
         missing = [kk for kk in _LAYER_KEYS if kk not in entry]
         if missing:
             raise FileFormatError(f"{path}: layer {idx} missing keys {missing}")
+        where = f"layer {idx}"
+        ints = {
+            kk: _int_field(path, where, entry, kk)
+            for kk in _LAYER_KEYS if kk not in _LAYER_FLAGS
+        }
+        flags = {kk: _flag_field(path, where, entry, kk) for kk in _LAYER_FLAGS}
         try:
             layers.append(
                 LayerDescriptor(
-                    n_in=int(entry["n_in"]), n_out=int(entry["n_out"]),
-                    h=int(entry["h"]), w=int(entry["w"]), k=int(entry["k"]),
-                    pad=int(entry["pad"]), relu=bool(entry["relu"]),
-                    pool=bool(entry["pool"]), encode=bool(entry["encode"]),
-                    frac_in=int(entry["frac_in"]), frac_w=int(entry["frac_w"]),
-                    frac_out=int(entry["frac_out"]),
-                    weights_path=resolve(entry.get("weights")),
-                    name=f"conv{idx + 1}",
+                    **ints, **flags,
+                    weights_path=resolve(where, entry), name=f"conv{idx + 1}",
                 )
             )
         except ValidationError as e:
             raise ValidationError(f"{path}: layer {idx}: {e}") from e
     fc = []
-    for idx, entry in enumerate(doc.get("fc", []) or []):
+    for idx, entry in enumerate(_object_list(path, "fc", doc.get("fc") or [], "fc")):
         missing = [kk for kk in ("n_in", "n_out") if kk not in entry]
         if missing:
             raise FileFormatError(f"{path}: fc {idx} missing keys {missing}")
+        where = f"fc {idx}"
         fc.append(
             DenseLayerDescriptor(
-                n_in=int(entry["n_in"]), n_out=int(entry["n_out"]),
-                relu=bool(entry.get("relu", True)),
-                frac_in=int(entry.get("frac_in", 8)),
-                frac_w=int(entry.get("frac_w", 8)),
-                frac_out=int(entry.get("frac_out", 8)),
-                weights_path=resolve(entry.get("weights")),
+                n_in=_int_field(path, where, entry, "n_in"),
+                n_out=_int_field(path, where, entry, "n_out"),
+                relu=_flag_field(path, where, entry, "relu", True),
+                frac_in=_int_field(path, where, entry, "frac_in", 8),
+                frac_w=_int_field(path, where, entry, "frac_w", 8),
+                frac_out=_int_field(path, where, entry, "frac_out", 8),
+                weights_path=resolve(where, entry),
             )
         )
     return NetworkDescriptor(layers, fc, name=doc.get("name", ""))

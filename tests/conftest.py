@@ -6,9 +6,10 @@ vectorized golden model or the pipeline simulator it cross-checks.  The
 scalar stripe oracles (:func:`weight_ops_for_pixel`, :func:`decode_stripe`)
 likewise walk single pixels, to cross-check the accelerator's separable
 per-row and per-column performance model.  The stream-order and decoder
-oracles walk pixels and fields one at a time, and
-:func:`reference_synthetic_tensor` keeps the original per-pixel generator
-that the vectorised one must reproduce bit for bit.
+oracles walk pixels and fields one at a time.  :func:`reference_encode`,
+:func:`reference_iter_rows` and :func:`reference_synthetic_tensor` keep the
+row-by-row encoder, the bit-by-bit decoder and the per-pixel generator that
+the vectorised codec and generator must reproduce bit for bit.
 """
 
 from typing import Iterator, Optional
@@ -31,10 +32,112 @@ def stream_order_iter(t: FeatureMapTensor) -> Iterator[tuple[int, int, int, int]
                 yield (i, x, y, int(v[i, y, x]))
 
 
+def _row_pixels(t: FeatureMapTensor, y: int) -> np.ndarray:
+    # row y in stream order: columns outer, channels inner
+    return np.ascontiguousarray(t.values[:, y, :].T).reshape(-1)
+
+
+def _encode_row_fields(px: np.ndarray) -> np.ndarray:
+    """Interleaved fields (uint16) for one image row."""
+    n = len(px)
+    mask = px != 0
+    n_chunks = -(-n // codec.SEGMENT_BITS)
+    idx = np.arange(n)
+    chunk_id = idx // codec.SEGMENT_BITS
+    bit = idx % codec.SEGMENT_BITS
+    sm = np.zeros(n_chunks, dtype=np.int64)
+    np.add.at(sm, chunk_id[mask], np.int64(1) << bit[mask])
+    nnz_per_chunk = np.bincount(chunk_id[mask], minlength=n_chunks)
+    prefix = np.concatenate([[0], np.cumsum(nnz_per_chunk)])[:-1]
+    fields = np.zeros(n_chunks + int(nnz_per_chunk.sum()), dtype=np.uint16)
+    sm_pos = np.arange(n_chunks) + prefix
+    fields[sm_pos] = sm.astype(np.uint16)
+    if mask.any():
+        rank = np.cumsum(mask) - 1
+        val_pos = sm_pos[chunk_id[mask]] + 1 + (rank[mask] - prefix[chunk_id[mask]])
+        fields[val_pos] = px[mask].astype(np.int16).view(np.uint16)
+    return fields
+
+
+def _pack_fields(fields: np.ndarray) -> tuple[np.ndarray, int]:
+    count = len(fields)
+    if count % 2:
+        fields = np.concatenate([fields, np.zeros(1, dtype=np.uint16)])
+    arr = fields.astype(np.uint32)
+    words = arr[0::2] | (arr[1::2] << 16)
+    return words, count
+
+
+def reference_encode(t: FeatureMapTensor) -> CompressedStream:
+    """The row-by-row form of :func:`nhsim.codec.encode`."""
+    fields = np.concatenate(
+        [_encode_row_fields(_row_pixels(t, y)) for y in range(t.height)]
+    )
+    words, count = _pack_fields(fields)
+    return CompressedStream(
+        words, count, t.channels, t.height, t.width, t.qformat.frac_bits
+    )
+
+
+def reference_iter_rows(s: CompressedStream) -> Iterator[tuple[int, np.ndarray]]:
+    """Decode bit by bit, yielding (y, row pixels in stream order).
+
+    Raises :class:`StreamError` on truncation, on an SM bit past the end of
+    a row, or on fields left over after the last row.
+    """
+    c, h, w = s.channels, s.height, s.width
+    fields = s.fields()
+    values_i16 = fields.view(np.int16)
+    row_px = w * c
+    pos = 0  # field cursor
+    for y in range(h):
+        row = np.zeros(row_px, dtype=np.int16)
+        filled = 0
+        while filled < row_px:
+            if pos >= len(fields):
+                raise StreamError(
+                    f"truncated stream: row {y} ends after {filled}/{row_px} pixels",
+                    pos // 2,
+                )
+            sm = int(fields[pos])
+            pos += 1
+            group = min(codec.SEGMENT_BITS, row_px - filled)
+            if sm >> group:
+                raise StreamError(
+                    f"SM marks pixels past the end of row {y}", (pos - 1) // 2
+                )
+            n_vals = bin(sm).count("1")
+            if pos + n_vals > len(fields):
+                raise StreamError(
+                    f"truncated stream: SM promises {n_vals} pixels, "
+                    f"{len(fields) - pos} left", len(fields) // 2,
+                )
+            b = sm
+            while b:
+                offset = (b & -b).bit_length() - 1
+                row[filled + offset] = values_i16[pos]
+                pos += 1
+                b &= b - 1
+            filled += group
+        yield y, row
+    if pos != len(fields):
+        raise StreamError(
+            f"{len(fields) - pos} fields left over after the last row", pos // 2
+        )
+
+
+def reference_decode(s: CompressedStream) -> np.ndarray:
+    """(c, h, w) int16 values decoded through :func:`reference_iter_rows`."""
+    values = np.zeros((s.channels, s.height, s.width), dtype=np.int16)
+    for y, row in reference_iter_rows(s):
+        values[:, y, :] = row.reshape(s.width, s.channels).T
+    return values
+
+
 def iter_nonzero(s: CompressedStream) -> Iterator[tuple[int, int, int, int]]:
     """Stream (channel, x, y, raw) for every non-zero pixel, in stream order."""
     c = s.channels
-    for y, row in codec.iter_rows(s):
+    for y, row in reference_iter_rows(s):
         for flat in np.flatnonzero(row):
             yield (int(flat) % c, int(flat) // c, y, int(row[flat]))
 
@@ -171,7 +274,7 @@ def decode_stripe(
     wanted = {yp - pad: yp for yp in rows_needed}
     fsm_pixels: dict[int, list[tuple[int, int, int, int]]] = {yp: [] for yp in rows_needed}
     c = stream.channels
-    for y, row in codec.iter_rows(stream):
+    for y, row in reference_iter_rows(stream):
         if y in wanted:
             yp = wanted[y]
             for flat in np.flatnonzero(row):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_kernels, random_tensor
-from nhsim import netmodel, presets, refmodel
+from nhsim import codec, netmodel, presets, refmodel
 from nhsim.accel import HardwareConfig
 from nhsim.cli import (
     compare_codecs_cmd,
@@ -192,6 +192,37 @@ class TestCliCommands:
         back = netmodel.load_tensor(dst)
         assert np.array_equal(back.values, t.values)
         assert back.qformat == t.qformat
+
+    @pytest.mark.parametrize("cut", ["file", "stream"])
+    def test_truncated_stream_fails_in_one_line(self, tmp_path, rng, capsys, cut):
+        enc = tmp_path / "t.nhc"
+        codec.save_stream(codec.encode(random_tensor(rng, 3, 9, 9, sparsity=0.6)), str(enc))
+        blob = bytearray(enc.read_bytes())
+        if cut == "file":  # fewer words than the header declares
+            blob = blob[:-8]
+            want = "expected"
+        else:  # a consistent header over a stream that ends inside a row
+            n_words = int.from_bytes(blob[11:15], "little") // 2
+            blob[11:15] = n_words.to_bytes(4, "little")
+            blob[15] = 0
+            blob = blob[: 16 + 4 * n_words]
+            want = "truncated stream"
+        enc.write_bytes(bytes(blob))
+        rc = main(["decode", "--in", str(enc), "--out", str(tmp_path / "back.nht")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("nhsim: ") and want in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_bad_network_json_fails_in_one_line(self, tmp_path, rng, capsys):
+        netpath = tmp_path / "net.json"
+        netpath.write_text('{"layers": 5}')
+        inpath = str(tmp_path / "in.nht")
+        netmodel.save_tensor(random_tensor(rng, 1, 8, 8), inpath)
+        rc = main(["run", "--net", str(netpath), "--input", inpath])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"nhsim: {netpath}: 'layers' must be a list of objects, got int\n"
 
     def test_run_command_with_report_and_trace(self, tmp_path, rng, capsys):
         net = build_tiny_net(tmp_path, rng, with_fc=False)

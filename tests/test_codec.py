@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iter_nonzero, row_field_offsets, stream_order_iter
+from conftest import (
+    iter_nonzero,
+    reference_decode,
+    reference_encode,
+    row_field_offsets,
+    stream_order_iter,
+)
 from nhsim import codec, netmodel
 from nhsim.codec import (
     CompressedStream,
@@ -16,9 +22,12 @@ from nhsim.codec import (
     encode_raw,
     field_count_for,
     load_stream,
+    rl_bits,
     rl_decode,
     rl_encode,
+    row_segments,
     save_stream,
+    sparsity_maps,
     threshold_sparsity,
 )
 from nhsim.fxp import QFormat
@@ -205,6 +214,83 @@ class TestRoundtripProperties:
         assert np.array_equal(back.values, t.values)
 
 
+def decode_outcome(decoder, s: CompressedStream):
+    """("ok", values) or ("error", message, word offset) of one decode."""
+    try:
+        return ("ok", decoder(s).tolist())
+    except StreamError as e:
+        return ("error", str(e), e.word_offset)
+
+
+@st.composite
+def corrupted_streams(draw):
+    """A valid stream with one flipped bit, a field count moved by up to 2
+    or words dropped from the end."""
+    s = reference_encode(draw(tensors()))
+    words, count = s.words.copy(), s.field_count
+    kind = draw(st.sampled_from(["flip", "count", "drop"]))
+    if kind == "flip":
+        i = draw(st.integers(0, len(words) - 1))
+        words[i] ^= np.uint32(1) << np.uint32(draw(st.integers(0, 31)))
+    elif kind == "count":
+        count += draw(st.sampled_from([-2, -1, 1, 2]))
+    else:
+        words = words[: draw(st.integers(0, len(words) - 1))]
+    return CompressedStream(words, count, s.channels, s.height, s.width, s.frac_bits)
+
+
+class TestMatchesReference:
+    """The vectorised codec against the row-by-row encoder and bit-by-bit
+    decoder in conftest: equal streams, values and errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tensors())
+    def test_encode_equals_reference(self, t):
+        got, want = encode(t), reference_encode(t)
+        assert got.words.dtype == np.uint32
+        assert got.words.tolist() == want.words.tolist()
+        assert got.field_count == want.field_count
+
+    @settings(max_examples=200, deadline=None)
+    @given(tensors())
+    def test_decode_equals_reference(self, t):
+        s = reference_encode(t)
+        got = decode(s)
+        assert got.values.dtype == np.int16
+        assert np.array_equal(got.values, reference_decode(s))
+
+    @settings(max_examples=500, deadline=None)
+    @given(corrupted_streams())
+    def test_corrupted_stream_same_outcome(self, s):
+        got = decode_outcome(lambda x: decode(x).values, s)
+        assert got == decode_outcome(reference_decode, s)
+
+
+class TestSparsityMaps:
+    def test_bits_follow_stream_order(self):
+        # 2 channels x 9 columns = 18 pixels a row: two segments, the
+        # second holding 2 pixels
+        flat = [0] * 18
+        flat[0], flat[3], flat[16], flat[17] = 1, -2, 3, 4
+        t = tensor(flat + [0] * 17 + [5], c=2, h=2, w=9)
+        assert sparsity_maps(t.values).tolist() == [[0b1001, 0b11], [0, 0b10]]
+        assert row_segments(9, 2) == 2
+        assert field_count_for(t) == 2 * 2 + 5
+
+    def test_fields_are_a_read_only_view_of_the_words(self, rng):
+        s = encode(netmodel.synthetic_tensor(3, 4, 7, 0.5, rng))
+        f = s.fields()
+        assert np.shares_memory(f, s.words)
+        assert not f.flags.writeable
+        assert len(f) == s.field_count
+
+    def test_raw_words_pack_low_pixel_first(self):
+        t = tensor([1, -1, 2], c=1, h=1, w=3)
+        raw = encode_raw(t)
+        assert raw.words.tolist() == [0xFFFF_0001, 0x0000_0002]
+        assert np.array_equal(decode_raw(raw).values, t.values)
+
+
 class TestSizeModel:
     def test_cis_lower_limit_at_full_sparsity(self):
         assert cis_bits(100, 16, 1.0) == 100
@@ -268,6 +354,37 @@ class TestRunLength:
             _, pairs = rl_encode(t)
             flat = np.transpose(t.values, (1, 2, 0)).reshape(-1)
             assert np.array_equal(rl_decode(pairs, t.pixel_count), flat)
+
+
+@st.composite
+def zero_runs(draw):
+    """1 x 1 x w tensors built from zero runs around the 32-zero escape."""
+    run = st.sampled_from([0, 1, 30, 31, 32, 33, 63, 64, 65]) | st.integers(0, 100)
+    value = st.integers(-32768, 32767).filter(lambda v: v != 0)
+    flat = []
+    for n, v in draw(st.lists(st.tuples(run, value), max_size=4)):  # w <= 504
+        flat += [0] * n + [v]
+    flat += [0] * draw(run)
+    if not flat:
+        flat = [0]
+    return tensor(flat, 1, 1, len(flat))
+
+
+class TestRunLengthSize:
+    @settings(max_examples=300, deadline=None)
+    @given(zero_runs() | tensors())
+    def test_closed_form_equals_encoder(self, t):
+        assert rl_bits(t) == rl_encode(t)[0]
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 96])
+    def test_all_zero(self, n):
+        t = tensor([0] * n, 1, 1, n)
+        assert rl_bits(t) == rl_encode(t)[0] == 21 * (n // 32 + (n % 32 > 0))
+
+    def test_report_uses_closed_form(self, rng):
+        t = netmodel.synthetic_tensor(2, 24, 24, 0.8, rng, burst_mean=40.0)
+        (r,) = compare_codecs([t])
+        assert r.rl_bits == rl_encode(t)[0]
 
 
 class TestCompare:

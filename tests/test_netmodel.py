@@ -275,6 +275,45 @@ class TestNetworkDescriptors:
         with pytest.raises(netmodel.FileFormatError, match=f"fc 0 missing keys \\['{key}'\\]"):
             load_network(path)
 
+    def _saved_doc(self, tmp_path):
+        path = str(tmp_path / "net.json")
+        net = NetworkDescriptor(
+            [LayerDescriptor(n_in=1, n_out=4, h=8, w=8, k=3)],
+            [netmodel.DenseLayerDescriptor(n_in=144, n_out=2)],
+        )
+        save_network(net, path)
+        with open(path) as f:
+            return path, json.load(f)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("layers", "n_in", "abc"), ("layers", "pad", None), ("fc", "frac_w", [8]),
+         ("layers", "weights", 5), ("layers", "relu", "false"), ("fc", "relu", None)],
+    )
+    def test_wrongly_typed_field_rejected(self, tmp_path, section, key, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc[section][0][key] = value
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        where = "layer 0" if section == "layers" else "fc 0"
+        with pytest.raises(netmodel.FileFormatError, match=f"{where} field '{key}'"):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "section, value, match",
+        [("layers", 5, "'layers' must be a list of objects, got int"),
+         ("layers", [7], "layer 0 must be an object, got int"),
+         ("fc", {"n_in": 144}, "'fc' must be a list of objects, got dict"),
+         ("fc", ["x"], "fc 0 must be an object, got str")],
+    )
+    def test_section_not_a_list_of_objects_rejected(self, tmp_path, section, value, match):
+        path, doc = self._saved_doc(tmp_path)
+        doc[section] = value
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(netmodel.FileFormatError, match=match):
+            load_network(path)
+
     def test_parse_error(self, tmp_path):
         p = tmp_path / "net.json"
         p.write_text("{not json")
