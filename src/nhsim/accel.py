@@ -37,6 +37,7 @@ and the output field count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -345,53 +346,56 @@ def _forward_pipeline(
     Input channels are dealt round-robin to the cooperating clusters; each
     cluster accumulates exact partial sums for a double output row, the
     reduction adds them (bias lives in cluster 0 only, so it is added
-    once), and the 32-bit clamp happens at readout.
+    once), and the 32-bit clamp happens at readout.  Consecutive passes
+    with one cluster size deal the input channels alike, so they are
+    evaluated together: each stripe's taps are built once per cluster and
+    shared by all of those passes' output channels.
     """
     k, pad = layer.k, layer.pad
     out_h, out_w = layer.conv_h, layer.conv_w
-    n_in, n_out = layer.n_in, layer.n_out
-    # float64 holds every partial sum exactly: |products| <= 2^30 and at most
-    # n_in*k*k <= 50k of them, so |acc| < 2^46 stays an exact integer
+    n_in = layer.n_in
+    # float64 holds every partial sum exactly: weights and activations are
+    # validated int16, so |products| <= 2**30, and a layer sums at most
+    # MAX_CHANNELS * MAX_KERNEL**2 = 50,176 of them, so |acc| < 2**46 < 2**53
     padded = np.zeros((n_in, layer.h + 2 * pad, layer.w + 2 * pad), dtype=np.float64)
     padded[:, pad : pad + layer.h, pad : pad + layer.w] = in_values
-    w64 = kern.weights.astype(np.float64)
     bias = kern.bias.astype(np.int64)
-    out = np.zeros((n_out, layer.out_h, layer.out_w), dtype=np.int16)
-    n_stripes = -(-out_h // 2)
-    for pas in schedule.passes:
-        lo = pas.chan_start
-        hi = lo + pas.chan_count
-        v = pas.cluster_size
-        cluster_chans = [np.arange(rc, n_in, v) for rc in range(v)]
-        wt_flat = [
-            np.ascontiguousarray(w64[lo:hi, chans].reshape(hi - lo, -1))
-            for chans in cluster_chans
+    out = np.zeros((layer.n_out, layer.out_h, layer.out_w), dtype=np.int16)
+    # passes split only the output channels, so a run of consecutive passes
+    # with one cluster size covers one contiguous channel range
+    for v, run in itertools.groupby(schedule.passes, key=lambda p: p.cluster_size):
+        run = list(run)
+        lo, hi = run[0].chan_start, run[-1].chan_start + run[-1].chan_count
+        # cluster rc holds input channels rc, rc + v, ...; idle when rc >= n_in
+        clusters = [
+            (
+                padded[rc::v],
+                kern.weights[lo:hi, rc::v].reshape(hi - lo, -1).astype(np.float64),
+            )
+            for rc in range(min(v, n_in))
         ]
-        for t in range(n_stripes):
-            rows = [r for r in (2 * t, 2 * t + 1) if r < out_h]
-            acc_f = np.zeros((hi - lo, len(rows), out_w), dtype=np.float64)
-            for rc, chans in enumerate(cluster_chans):
-                if len(chans) == 0:
-                    continue
-                for ri, r in enumerate(rows):
-                    taps = np.lib.stride_tricks.sliding_window_view(
-                        padded[chans, r : r + k, :], out_w, axis=2
-                    )  # (n_chans, k, k, out_w)
-                    acc_f[:, ri, :] += wt_flat[rc] @ taps.reshape(-1, out_w)
-            acc = acc_f.astype(np.int64) + bias[lo:hi, None, None]
+        for r0 in range(0, out_h, 2):
+            nrows = min(2, out_h - r0)
+            acc_f = np.zeros((hi - lo, nrows * out_w), dtype=np.float64)
+            for xs, wt in clusters:
+                taps = np.lib.stride_tricks.sliding_window_view(
+                    xs[:, r0 : r0 + nrows + k - 1, :], (nrows, out_w), axis=(1, 2)
+                )  # (n_chans, k, k, nrows, out_w)
+                acc_f += wt @ taps.reshape(-1, nrows * out_w)
+            acc = acc_f.astype(np.int64).reshape(hi - lo, nrows, out_w)
+            acc += bias[lo:hi, None, None]
             np.clip(acc, I32_MIN, I32_MAX, out=acc)
             vals = requantize_array(acc, layer.acc_frac, layer.out_qformat)
             if layer.relu:
-                vals = np.maximum(vals, 0).astype(np.int16)
-            if layer.pool:
-                if len(rows) == 2:
-                    wf = out_w // 2
-                    pooled = vals[:, :, : 2 * wf].reshape(hi - lo, 2, wf, 2).max(axis=(1, 3))
-                    out[lo:hi, t, :] = pooled
-                # a trailing single row is dropped by floor pooling
-            else:
-                for ri, r in enumerate(rows):
-                    out[lo:hi, r, :] = vals[:, ri, :]
+                np.maximum(vals, 0, out=vals)
+            if not layer.pool:
+                out[lo:hi, r0 : r0 + nrows, :] = vals
+            elif nrows == 2:
+                wf = out_w // 2
+                out[lo:hi, r0 // 2, :] = (
+                    vals[:, :, : 2 * wf].reshape(hi - lo, 2, wf, 2).max(axis=(1, 3))
+                )
+            # a trailing single row is dropped by floor pooling
     return FeatureMapTensor(out, layer.out_qformat)
 
 

@@ -115,6 +115,17 @@ def _layer_entry(layer, schedule, stats: LayerStats) -> dict:
     return entry
 
 
+def _load_kernels(path: str, frac_w: int, where: str) -> netmodel.KernelSet:
+    """A weight file whose stored precision must be the layer's ``frac_w``."""
+    kern = netmodel.load_weights(path)
+    if kern.qformat.frac_bits != frac_w:
+        raise netmodel.ValidationError(
+            f"{where}: {path} holds weights with {kern.qformat.frac_bits} "
+            f"fractional bits, the layer declares frac_w={frac_w}"
+        )
+    return kern
+
+
 def run_network(
     net: NetworkDescriptor,
     input_tensor: FeatureMapTensor,
@@ -163,7 +174,7 @@ def run_network(
         if trace is not None:
             trace.write(f"# layer {i} {layer.name}\n")
         if synthetic_sparsity is None:
-            kern = netmodel.load_weights(layer.weights_path)
+            kern = _load_kernels(layer.weights_path, layer.frac_w, f"layer {i}")
             sim = accel.simulate_layer(current, kern, layer, schedule, hw, trace=trace)
             out_t, stats = sim.tensor, sim.stats
         else:
@@ -179,10 +190,10 @@ def run_network(
         current = out_t
     if synthetic_sparsity is None:
         vec = netmodel.stream_order_values(current).astype(np.int64)
-        for d in net.fc:
+        for j, d in enumerate(net.fc):
             if d.weights_path is None:
                 raise netmodel.ValidationError("fully-connected layer has no weights")
-            kern = netmodel.load_weights(d.weights_path)
+            kern = _load_kernels(d.weights_path, d.frac_w, f"fc {j}")
             w = kern.weights.reshape(kern.n_out, -1)
             if w.shape[1] != vec.size:
                 raise netmodel.ValidationError(
@@ -446,11 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one subcommand; an nhsim error becomes one stderr line and exit 2."""
+    """Run one subcommand; an nhsim error or a file that cannot be opened
+    becomes one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (netmodel.ValidationError, netmodel.FileFormatError, codec.StreamError) as e:
+    except (
+        netmodel.ValidationError, netmodel.FileFormatError, codec.StreamError, OSError,
+    ) as e:
         print(f"nhsim: {e}", file=sys.stderr)
         return 2
 

@@ -53,6 +53,18 @@ class FileFormatError(ValueError):
     """A binary or JSON input file does not parse as expected."""
 
 
+def _cast_checked(a: np.ndarray, dtype, what: str) -> np.ndarray:
+    """``a`` as ``dtype``; a value outside its range raises instead of wrapping."""
+    if a.dtype == dtype:
+        return a
+    info = np.iinfo(dtype)
+    if a.size and not (info.min <= a.min() and a.max() <= info.max):
+        raise ValidationError(
+            f"{what} outside the {info.dtype} range [{info.min}, {info.max}]"
+        )
+    return a.astype(dtype)
+
+
 # ---------------------------------------------------------------------------
 # tensors
 
@@ -71,8 +83,7 @@ class FeatureMapTensor:
             raise ValidationError(f"channels {c} outside [1, {MAX_CHANNELS}]")
         if not (1 <= h <= MAX_DIM and 1 <= w <= MAX_DIM):
             raise ValidationError(f"dims {h}x{w} outside [1, {MAX_DIM}]")
-        if v.dtype != np.int16:
-            self.values = v.astype(np.int16)
+        self.values = _cast_checked(v, np.int16, "tensor values")
 
     @property
     def channels(self) -> int:
@@ -190,10 +201,8 @@ class KernelSet:
             raise ValidationError(f"kernel size {w.shape[2]} outside [1, {MAX_KERNEL}]")
         if self.bias.shape != (w.shape[0],):
             raise ValidationError("bias length must equal n_out")
-        if w.dtype != np.int16:
-            self.weights = w.astype(np.int16)
-        if self.bias.dtype != np.int32:
-            self.bias = self.bias.astype(np.int32)
+        self.weights = _cast_checked(w, np.int16, "weights")
+        self.bias = _cast_checked(self.bias, np.int32, "bias")
 
     @property
     def n_out(self) -> int:

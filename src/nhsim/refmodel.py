@@ -1,10 +1,16 @@
 """Dense golden model for one layer: convolution, bias, ReLU, 2x2 max pool.
 
-This is the correctness oracle for the pipeline simulator.  All arithmetic
-is exact integer math: products accumulate in 64-bit, and each output
-pixel's accumulator (bias plus every product) is clamped once to the
-32-bit range before requantization, so results are independent of
-accumulation order.
+This is the correctness oracle for the pipeline simulator.  It convolves
+the whole map at once, one matrix product per kernel tap, with no stripes,
+clusters or passes, so it shares no evaluation order with the pipeline.
+
+The products accumulate in float64, which is exact here: weights and
+activations are validated int16, so each product has magnitude at most
+2**30, and a layer sums at most ``MAX_CHANNELS * MAX_KERNEL**2`` = 50,176 of
+them, so every partial sum is an integer below 2**46 < 2**53 whatever the
+summation order.  Each output pixel's accumulator (bias plus every product)
+is then taken to int64 and clamped once to the 32-bit range before
+requantization.
 """
 
 from __future__ import annotations
@@ -13,15 +19,6 @@ import numpy as np
 
 from .fxp import I32_MAX, I32_MIN, requantize_array
 from .netmodel import FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError
-
-
-def _pad_input(values: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return values.astype(np.int64)
-    c, h, w = values.shape
-    out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.int64)
-    out[:, pad : pad + h, pad : pad + w] = values
-    return out
 
 
 def conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int = 0) -> np.ndarray:
@@ -36,19 +33,23 @@ def conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int = 0) -> np.ndarray:
     if pad < 0 or pad > 3:
         raise ValidationError(f"pad {pad} outside [0, 3]")
     k = kern.k
-    out_h = t.height + 2 * pad - k + 1
-    out_w = t.width + 2 * pad - k + 1
+    c, h, w = t.values.shape
+    out_h = h + 2 * pad - k + 1
+    out_w = w + 2 * pad - k + 1
     if out_h < 1 or out_w < 1:
         raise ValidationError("kernel larger than padded input")
-    padded = _pad_input(t.values, pad)
-    w64 = kern.weights.astype(np.int64)
-    acc = np.zeros((kern.n_out, out_h, out_w), dtype=np.int64)
-    acc += kern.bias.astype(np.int64)[:, None, None]
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    padded[:, pad : pad + h, pad : pad + w] = t.values
+    # (k, k, n_out, n_in): each tap's weight matrix is contiguous
+    wf = np.ascontiguousarray(kern.weights.transpose(2, 3, 0, 1), dtype=np.float64)
+    acc_f = np.zeros((kern.n_out, out_h * out_w), dtype=np.float64)
     for dy in range(k):
         for dx in range(k):
-            window = padded[:, dy : dy + out_h, dx : dx + out_w]
-            acc += np.tensordot(w64[:, :, dy, dx], window, axes=([1], [0]))
-    return np.clip(acc, I32_MIN, I32_MAX)
+            window = padded[:, dy : dy + out_h, dx : dx + out_w].reshape(c, -1)
+            acc_f += wf[dy, dx] @ window
+    acc = acc_f.astype(np.int64).reshape(kern.n_out, out_h, out_w)
+    acc += kern.bias.astype(np.int64)[:, None, None]
+    return np.clip(acc, I32_MIN, I32_MAX, out=acc)
 
 
 def apply_relu(acc_map: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ oracles walk pixels and fields one at a time.  :func:`reference_encode`,
 :func:`reference_iter_rows` and :func:`reference_synthetic_tensor` keep the
 row-by-row encoder, the bit-by-bit decoder and the per-pixel generator that
 the vectorised codec and generator must reproduce bit for bit.
+:func:`reference_conv2d` is the int64 ``tensordot`` convolution that the
+float64 matmul oracle in :mod:`nhsim.refmodel` replaced.
 """
 
 from typing import Iterator, Optional
@@ -197,6 +199,24 @@ def reference_synthetic_tensor(
     flat = np.where(mask, vals * signs, 0).astype(np.int16)
     shaped = flat.reshape(height, width, channels).transpose(2, 0, 1)
     return FeatureMapTensor(np.ascontiguousarray(shaped), qformat)
+
+
+def reference_conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int) -> np.ndarray:
+    """Convolution accumulators in int64, one ``tensordot`` per tap, clamped
+    once to the 32-bit range; the form of :func:`nhsim.refmodel.conv2d`."""
+    c, h, w = t.values.shape
+    k = kern.k
+    out_h, out_w = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.int64)
+    padded[:, pad : pad + h, pad : pad + w] = t.values
+    w64 = kern.weights.astype(np.int64)
+    acc = np.zeros((kern.n_out, out_h, out_w), dtype=np.int64)
+    acc += kern.bias.astype(np.int64)[:, None, None]
+    for dy in range(k):
+        for dx in range(k):
+            window = padded[:, dy : dy + out_h, dx : dx + out_w]
+            acc += np.tensordot(w64[:, :, dy, dx], window, axes=([1], [0]))
+    return np.clip(acc, fxp.I32_MIN, fxp.I32_MAX)
 
 
 def naive_layer_forward(t: FeatureMapTensor, layer: LayerDescriptor, kern: KernelSet):

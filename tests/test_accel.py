@@ -216,6 +216,29 @@ class TestFunctionalEquivalence:
         assert np.array_equal(sim.tensor.values, want.values)
         assert sim.stats.passes == 2
 
+    @pytest.mark.parametrize(
+        "layer, clusters",
+        [
+            # 65 then 64 channels: the passes have cluster sizes 1 and 2
+            (LayerDescriptor(n_in=6, n_out=129, h=7, w=9, k=3, pad=1, relu=False), [1, 2]),
+            # 25 clusters for 3 input channels: 22 clusters stay idle
+            (LayerDescriptor(n_in=3, n_out=5, h=8, w=8, k=3, relu=False), [25]),
+            # 7 conv rows: the last stripe holds one row, which pooling drops
+            (LayerDescriptor(n_in=4, n_out=6, h=9, w=10, k=3, pool=True), [21]),
+            (LayerDescriptor(n_in=5, n_out=12, h=10, w=11, k=7, pad=3, relu=False), [10]),
+        ],
+        ids=["mixed-cluster-sizes", "idle-clusters", "odd-rows-pooled", "k7-pad3"],
+    )
+    def test_layer_shapes_match_oracle(self, rng, layer, clusters):
+        assert [p.cluster_size for p in plan_layer(layer, HW).passes] == clusters
+        t = random_tensor(rng, layer.n_in, layer.h, layer.w, sparsity=0.3,
+                          lo=-32768, hi=32767)
+        kern = random_kernels(rng, layer.n_out, layer.n_in, layer.k,
+                              wmax=32767, bmax=1 << 31)
+        sim = simulate_layer(t, kern, layer)
+        want = refmodel.layer_forward(t, layer, kern)
+        assert np.array_equal(sim.tensor.values, want.values)
+
     def test_schedule_layer_mismatch_rejected(self, rng):
         layer, t, kern = random_case(rng)
         other = LayerDescriptor(n_in=layer.n_in + 1, n_out=layer.n_out,

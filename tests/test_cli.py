@@ -36,8 +36,8 @@ def build_tiny_net(tmp_path, rng, with_fc=True):
         n_in=4, n_out=6, h=3, w=3, k=1, pad=0, pool=False,
         weights_path=str(tmp_path / "w2.nhw"), name="conv2",
     )
-    netmodel.save_weights(random_kernels(rng, 4, 1, 3, wmax=64), str(tmp_path / "w1.nhw"))
-    netmodel.save_weights(random_kernels(rng, 6, 4, 1, wmax=64), str(tmp_path / "w2.nhw"))
+    netmodel.save_weights(random_kernels(rng, 4, 1, 3, frac=8, wmax=64), str(tmp_path / "w1.nhw"))
+    netmodel.save_weights(random_kernels(rng, 6, 4, 1, frac=8, wmax=64), str(tmp_path / "w2.nhw"))
     fc = []
     if with_fc:
         flat = 6 * 3 * 3
@@ -114,6 +114,27 @@ class TestRunNetwork:
         t = random_tensor(rng, 1, 6, 6, sparsity=0.0, lo=1, hi=50)
         report, _ = run_network(net, t)
         assert report.totals["efficiency"] <= 1.0
+
+    def test_conv_weight_precision_mismatch_rejected(self, tmp_path):
+        # raw 1024 is 1.0 at 10 fractional bits; read at frac_w=8 it is 4.0
+        path = str(tmp_path / "w.nhw")
+        kern = KernelSet(
+            np.full((1, 1, 1, 1), 1024, dtype=np.int16), np.zeros(1, dtype=np.int32),
+            QFormat(10),
+        )
+        netmodel.save_weights(kern, path)
+        layer = LayerDescriptor(n_in=1, n_out=1, h=2, w=2, k=1, frac_w=8, weights_path=path)
+        t = FeatureMapTensor(np.full((1, 2, 2), 256, dtype=np.int16), QFormat(8))
+        with pytest.raises(ValidationError, match="layer 0: .* 10 fractional bits.*frac_w=8"):
+            run_network(NetworkDescriptor([layer]), t)
+
+    def test_fc_weight_precision_mismatch_rejected(self, tmp_path, rng):
+        net = build_tiny_net(tmp_path, rng)
+        path = net.fc[0].weights_path
+        kern = netmodel.load_weights(path)
+        netmodel.save_weights(KernelSet(kern.weights, kern.bias, QFormat(10)), path)
+        with pytest.raises(ValidationError, match="fc 0: .* 10 fractional bits.*frac_w=8"):
+            run_network(net, random_tensor(rng, 1, 8, 8))
 
     def test_input_mismatch_rejected(self, rng):
         net = presets.network("roshambo")
@@ -224,6 +245,24 @@ class TestCliCommands:
         assert rc == 2
         assert err == f"nhsim: {netpath}: 'layers' must be a list of objects, got int\n"
 
+    @pytest.mark.parametrize("missing", ["stream", "network", "input"])
+    def test_missing_file_fails_in_one_line(self, tmp_path, rng, capsys, missing):
+        absent = str(tmp_path / "absent")
+        if missing == "stream":
+            argv = ["decode", "--in", absent, "--out", str(tmp_path / "back.nht")]
+        else:
+            netpath = str(tmp_path / "net.json")
+            netmodel.save_network(build_tiny_net(tmp_path, rng, with_fc=False), netpath)
+            inpath = str(tmp_path / "in.nht")
+            netmodel.save_tensor(random_tensor(rng, 1, 8, 8), inpath)
+            argv = ["run", "--net", netpath, "--input", inpath]
+            argv[2 if missing == "network" else 4] = absent
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("nhsim: ") and absent in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_run_command_with_report_and_trace(self, tmp_path, rng, capsys):
         net = build_tiny_net(tmp_path, rng, with_fc=False)
         netpath = str(tmp_path / "net.json")
@@ -266,7 +305,7 @@ class TestCliCommands:
         for l in layers:
             w = pattern((l.n_out, l.n_in, l.k, l.k), 37, 129, 64, 5).astype(np.int16)
             b = (pattern((l.n_out,), 101, 2001, 1000, 7) * 64).astype(np.int32)
-            netmodel.save_weights(KernelSet(w, b, QFormat(10)), l.weights_path)
+            netmodel.save_weights(KernelSet(w, b, QFormat(l.frac_w)), l.weights_path)
         netpath = str(tmp_path / "net.json")
         netmodel.save_network(NetworkDescriptor(layers, [], name="fixed"), netpath)
         x = FeatureMapTensor(pattern((2, 8, 8), 31, 97, 40, 3).astype(np.int16), QFormat(8))

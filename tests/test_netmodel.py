@@ -157,6 +157,46 @@ class TestTensorLimits:
             )
 
 
+class TestValueRanges:
+    """Other dtypes are cast to int16/int32 only when every value fits."""
+
+    @pytest.mark.parametrize("bad", [40000, -32769, np.nan])
+    def test_tensor_value_outside_int16_rejected(self, bad):
+        v = np.zeros((1, 2, 2))
+        v[0, 1, 1] = bad
+        with pytest.raises(ValidationError, match="tensor values"):
+            FeatureMapTensor(v, QFormat(8))
+
+    @pytest.mark.parametrize("bad", [32768, -40000])
+    def test_weight_outside_int16_rejected(self, bad):
+        w = np.zeros((2, 1, 3, 3), dtype=np.int32)
+        w[1, 0, 2, 2] = bad
+        with pytest.raises(ValidationError, match="weights"):
+            KernelSet(w, np.zeros(2, dtype=np.int32), QFormat(8))
+
+    @pytest.mark.parametrize("bad", [2**31, -(2**31) - 1])
+    def test_bias_outside_int32_rejected(self, bad):
+        with pytest.raises(ValidationError, match="bias"):
+            KernelSet(
+                np.zeros((2, 1, 1, 1), dtype=np.int16),
+                np.array([0, bad], dtype=np.int64),
+                QFormat(8),
+            )
+
+    def test_values_at_the_limits_are_cast(self):
+        t = FeatureMapTensor(np.array([[[-32768, 32767]]], dtype=np.int64), QFormat(8))
+        assert t.values.dtype == np.int16
+        assert t.values.tolist() == [[[-32768, 32767]]]
+        kern = KernelSet(
+            np.array([[[[32767]]], [[[-32768]]]], dtype=np.int64),
+            np.array([-(2**31), 2**31 - 1], dtype=np.int64),
+            QFormat(8),
+        )
+        assert kern.weights.dtype == np.int16 and kern.bias.dtype == np.int32
+        assert kern.weights.ravel().tolist() == [32767, -32768]
+        assert kern.bias.tolist() == [-(2**31), 2**31 - 1]
+
+
 class TestFileRoundtrips:
     @settings(max_examples=40, deadline=None)
     @given(

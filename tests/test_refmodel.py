@@ -1,15 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_layer_forward, random_kernels, random_tensor
+from conftest import naive_layer_forward, random_kernels, random_tensor, reference_conv2d
 from nhsim import refmodel
-from nhsim.fxp import QFormat
+from nhsim.fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN, QFormat
 from nhsim.netmodel import (
+    MAX_CHANNELS,
+    MAX_KERNEL,
     FeatureMapTensor,
     KernelSet,
     LayerDescriptor,
     ValidationError,
 )
+
+
+def test_float64_accumulation_bound():
+    # the oracle and the pipeline sum int16 x int16 products in float64; the
+    # sums stay exact integers only while the largest one fits in 53 bits
+    assert MAX_CHANNELS * MAX_KERNEL**2 * 2**30 < 2**53
+
+
+def _extreme_draw(rng, shape, lo, hi, edges):
+    """Uniform values in [lo, hi] with about half of them from ``edges``."""
+    vals = rng.integers(lo, hi, size=shape, endpoint=True)
+    picks = rng.choice(np.array(edges, dtype=np.int64), size=shape)
+    return np.where(rng.random(shape) < 0.5, picks, vals)
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.integers(1, 7))
+    pad = draw(st.integers(0, 3))
+    min_hw = max(1, k - 2 * pad)
+    h = draw(st.integers(min_hw, min_hw + 4))
+    w = draw(st.integers(min_hw, min_hw + 4))
+    n_in = draw(st.integers(1, 300))
+    n_out = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _extreme_draw(rng, (n_in, h, w), I16_MIN, I16_MAX, [I16_MIN, I16_MAX, 0, -1, 1])
+    wt = _extreme_draw(rng, (n_out, n_in, k, k), I16_MIN, I16_MAX, [I16_MIN, I16_MAX, 0])
+    b = _extreme_draw(rng, n_out, I32_MIN, I32_MAX, [I32_MIN, I32_MAX, 0])
+    t = FeatureMapTensor(x.astype(np.int16), QFormat(8))
+    kern = KernelSet(wt.astype(np.int16), b.astype(np.int32), QFormat(8))
+    return t, kern, pad
 
 
 class TestConv2d:
@@ -42,6 +77,25 @@ class TestConv2d:
         acc = refmodel.conv2d(t, kern, pad=0)
         assert acc.shape == (1, 1, 1)
         assert acc[0, 0, 0] == 9 + 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_cases())
+    def test_equals_int64_reference(self, case):
+        t, kern, pad = case
+        got = refmodel.conv2d(t, kern, pad)
+        want = reference_conv2d(t, kern, pad)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_clamp_engages_at_int16_extremes(self):
+        # 300 * 49 products of 2**30 overflow 32 bits either way
+        t = FeatureMapTensor(np.full((300, 7, 7), I16_MIN, dtype=np.int16), QFormat(8))
+        w = np.full((2, 300, 7, 7), I16_MIN, dtype=np.int16)
+        w[1] = I16_MAX
+        kern = KernelSet(w, np.array([I32_MAX, I32_MIN], dtype=np.int32), QFormat(8))
+        acc = refmodel.conv2d(t, kern, pad=0)
+        assert acc[:, 0, 0].tolist() == [I32_MAX, I32_MIN]
+        assert np.array_equal(acc, reference_conv2d(t, kern, 0))
 
     def test_channel_mismatch(self, rng):
         t = random_tensor(rng, 2, 4, 4)
