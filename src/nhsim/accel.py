@@ -2,6 +2,11 @@
 
 Functionally the simulator is bit-exact with :mod:`nhsim.refmodel`; its
 timing is a transaction-level phase model, not an RTL-cycle reproduction.
+The functional pipeline evaluates each run of passes with one cluster size
+over blocks of consecutive stripes, one float64 matrix product per cluster
+and block, and reads out in float64 too: it pools the raw accumulators
+first, then adds the bias, clamps to 32 bits, requantizes and applies ReLU.
+Both steps are exact (see :func:`_forward_pipeline`).
 Per pass over the input feature maps:
 
     cycles = kernel_load + prefill + max(compute, input_stream, output_drain)
@@ -47,7 +52,7 @@ import numpy as np
 
 from . import codec
 from .codec import CompressedStream, RawPixelStream
-from .fxp import I32_MAX, I32_MIN, requantize_array
+from .fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN
 from .netmodel import (
     FeatureMapTensor,
     KernelSet,
@@ -335,6 +340,11 @@ def _layer_stats(
 # functional pipeline
 
 
+# bytes of one cluster's tap matrix (or of the accumulator, if larger) per
+# GEMM: a block spans as many stripes as fit, and always at least one
+_BLOCK_BYTES = 4 << 20
+
+
 def _forward_pipeline(
     in_values: np.ndarray,
     kern: KernelSet,
@@ -344,12 +354,16 @@ def _forward_pipeline(
     """Bit-exact stripe/cluster evaluation of one layer.
 
     Input channels are dealt round-robin to the cooperating clusters; each
-    cluster accumulates exact partial sums for a double output row, the
-    reduction adds them (bias lives in cluster 0 only, so it is added
+    cluster accumulates exact partial sums for its stripes (double output
+    rows), the reduction adds them (bias lives in cluster 0 only, so it is added
     once), and the 32-bit clamp happens at readout.  Consecutive passes
     with one cluster size deal the input channels alike, so they are
-    evaluated together: each stripe's taps are built once per cluster and
-    shared by all of those passes' output channels.
+    evaluated together, and consecutive stripes are evaluated in blocks:
+    each cluster builds one tap matrix per block, up to ``_BLOCK_BYTES``,
+    and one matrix product serves all of the block's stripes and all of
+    those passes' output channels.  Readout stays in float64 and pools
+    before it requantizes, which gives the same int16 values as
+    requantizing every pixel and pooling after.
     """
     k, pad = layer.k, layer.pad
     out_h, out_w = layer.conv_h, layer.conv_w
@@ -359,8 +373,18 @@ def _forward_pipeline(
     # MAX_CHANNELS * MAX_KERNEL**2 = 50,176 of them, so |acc| < 2**46 < 2**53
     padded = np.zeros((n_in, layer.h + 2 * pad, layer.w + 2 * pad), dtype=np.float64)
     padded[:, pad : pad + layer.h, pad : pad + layer.w] = in_values
-    bias = kern.bias.astype(np.int64)
-    out = np.zeros((layer.n_out, layer.out_h, layer.out_w), dtype=np.int16)
+    # Readout in float64 is exact too.  Adding an int32 bias keeps the sum an
+    # integer below 2**47; the clamp leaves it in the int32 range; scaling
+    # by a power of two in [2**-30, 2**15] only moves the exponent; np.rint
+    # rounds half to even, the rule of fxp.requantize; and the int16 clip
+    # (from 0 under ReLU) leaves an integer that casts exactly.
+    # Each of these steps is monotone non-decreasing within a channel, so
+    # the max over a 2x2 pooling window commutes with all of them: pooling
+    # the raw accumulators first reads out a quarter of the pixels.
+    bias = kern.bias.astype(np.float64)[:, None, None]
+    scale = 2.0 ** (layer.frac_out - layer.acc_frac)
+    floor = 0 if layer.relu else I16_MIN
+    out = np.zeros(layer.out_shape, dtype=np.int16)
     # passes split only the output channels, so a run of consecutive passes
     # with one cluster size covers one contiguous channel range
     for v, run in itertools.groupby(schedule.passes, key=lambda p: p.cluster_size):
@@ -374,28 +398,33 @@ def _forward_pipeline(
             )
             for rc in range(min(v, n_in))
         ]
-        for r0 in range(0, out_h, 2):
-            nrows = min(2, out_h - r0)
-            acc_f = np.zeros((hi - lo, nrows * out_w), dtype=np.float64)
+        # blocks start on even rows so that pooling pairs stay in one block;
+        # the budget bounds the accumulator as well as the tap matrix
+        stripe_bytes = max(clusters[0][1].shape[1], hi - lo) * 2 * out_w * 8
+        block_rows = 2 * max(1, _BLOCK_BYTES // stripe_bytes)
+        for r0 in range(0, out_h, block_rows):
+            nrows = min(block_rows, out_h - r0)
+            acc = np.zeros((hi - lo, nrows * out_w), dtype=np.float64)
             for xs, wt in clusters:
                 taps = np.lib.stride_tricks.sliding_window_view(
                     xs[:, r0 : r0 + nrows + k - 1, :], (nrows, out_w), axis=(1, 2)
                 )  # (n_chans, k, k, nrows, out_w)
-                acc_f += wt @ taps.reshape(-1, nrows * out_w)
-            acc = acc_f.astype(np.int64).reshape(hi - lo, nrows, out_w)
-            acc += bias[lo:hi, None, None]
+                acc += wt @ taps.reshape(-1, nrows * out_w)
+            acc = acc.reshape(hi - lo, nrows, out_w)
+            if layer.pool:
+                # floor pooling drops a trailing odd row and column
+                h2, w2 = nrows // 2, out_w // 2
+                acc = np.maximum(acc[:, 0 : 2 * h2 : 2], acc[:, 1 : 2 * h2 : 2])
+                acc = np.maximum(acc[:, :, 0 : 2 * w2 : 2], acc[:, :, 1 : 2 * w2 : 2])
+                rows = slice(r0 // 2, r0 // 2 + h2)
+            else:
+                rows = slice(r0, r0 + nrows)
+            acc += bias[lo:hi]
             np.clip(acc, I32_MIN, I32_MAX, out=acc)
-            vals = requantize_array(acc, layer.acc_frac, layer.out_qformat)
-            if layer.relu:
-                np.maximum(vals, 0, out=vals)
-            if not layer.pool:
-                out[lo:hi, r0 : r0 + nrows, :] = vals
-            elif nrows == 2:
-                wf = out_w // 2
-                out[lo:hi, r0 // 2, :] = (
-                    vals[:, :, : 2 * wf].reshape(hi - lo, 2, wf, 2).max(axis=(1, 3))
-                )
-            # a trailing single row is dropped by floor pooling
+            acc *= scale
+            np.rint(acc, out=acc)
+            np.clip(acc, floor, I16_MAX, out=acc)
+            out[lo:hi, rows] = acc
     return FeatureMapTensor(out, layer.out_qformat)
 
 

@@ -71,8 +71,12 @@ def _finish_report(
     seconds = cycles / hw.clock_hz
     fps = 1.0 / seconds if seconds > 0 else 0.0
     gop_s = gop_frame * fps
-    total_bytes = sum(s.total_bytes for s in stats_list)
-    energy = total_bytes * 8 * accel.DRAM_PJ_PER_BIT * 1e-12
+    traffic = LayerStats(
+        bytes_in=sum(s.bytes_in for s in stats_list),
+        bytes_out=sum(s.bytes_out for s in stats_list),
+        bytes_kernels=sum(s.bytes_kernels for s in stats_list),
+    )
+    energy = accel.estimate_dram_energy(traffic)
     load = sum(s.cycles_kernel_load for s in stats_list)
     report.totals = {
         "cycles_total": cycles,
@@ -86,10 +90,10 @@ def _finish_report(
         "utilization_excl_load": (
             mult / (hw.macs * (cycles - load)) if cycles > load else 0.0
         ),
-        "bytes_in": sum(s.bytes_in for s in stats_list),
-        "bytes_out": sum(s.bytes_out for s in stats_list),
-        "bytes_kernels": sum(s.bytes_kernels for s in stats_list),
-        "dram_bytes_per_frame": total_bytes,
+        "bytes_in": traffic.bytes_in,
+        "bytes_out": traffic.bytes_out,
+        "bytes_kernels": traffic.bytes_kernels,
+        "dram_bytes_per_frame": traffic.total_bytes,
         "dram_energy_j_per_frame": energy,
         "dram_power_w": energy * fps,
     }

@@ -48,7 +48,14 @@ from fractions import Fraction
 import numpy as np
 
 from .fxp import QFormat
-from .netmodel import FeatureMapTensor, FileFormatError
+from .netmodel import (
+    MAX_CHANNELS,
+    MAX_DIM,
+    MAX_FRAC,
+    FeatureMapTensor,
+    FileFormatError,
+    check_frac_bits,
+)
 
 SEGMENT_BITS = 16
 RL_RUN_BITS = 5
@@ -240,6 +247,16 @@ def decode_raw(s: RawPixelStream) -> FeatureMapTensor:
 
 
 def _check_dims(s: CompressedStream, dims) -> tuple[int, int, int]:
+    # checked before any buffer is sized from the header
+    if s.channels > MAX_CHANNELS or s.height > MAX_DIM or s.width > MAX_DIM:
+        raise StreamError(
+            f"stream header dims {(s.channels, s.height, s.width)} exceed "
+            f"({MAX_CHANNELS}, {MAX_DIM}, {MAX_DIM})", 0,
+        )
+    if not 0 <= s.frac_bits <= MAX_FRAC:
+        raise StreamError(
+            f"stream header frac_bits {s.frac_bits} outside [0, {MAX_FRAC}]", 0
+        )
     if dims is None:
         return s.channels, s.height, s.width
     c, h, w = dims
@@ -428,4 +445,6 @@ def load_stream(path: str) -> CompressedStream:
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     words = np.frombuffer(blob, dtype="<u4", offset=16).astype(np.uint32)
-    return CompressedStream(words, 2 * n_words - pad_flag, c, h, w, frac)
+    return CompressedStream(
+        words, 2 * n_words - pad_flag, c, h, w, check_frac_bits(path, frac)
+    )

@@ -43,6 +43,7 @@ MAX_CHANNELS = 1024
 MAX_DIM = 512
 MAX_KERNEL = 7
 MAX_PAD = 3
+MAX_FRAC = 15  # fractional bits of a 16-bit value, as QFormat admits
 
 
 class ValidationError(ValueError):
@@ -54,15 +55,35 @@ class FileFormatError(ValueError):
 
 
 def _cast_checked(a: np.ndarray, dtype, what: str) -> np.ndarray:
-    """``a`` as ``dtype``; a value outside its range raises instead of wrapping."""
+    """``a`` as ``dtype``; a NaN, a fraction or a value outside the range of
+    ``dtype`` raises instead of being truncated or wrapped."""
     if a.dtype == dtype:
         return a
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} have dtype {a.dtype}, not integer or float")
+    if a.dtype.kind == "f" and np.isnan(a).any():
+        raise ValidationError(f"{what} contain NaN")
     info = np.iinfo(dtype)
     if a.size and not (info.min <= a.min() and a.max() <= info.max):
         raise ValidationError(
             f"{what} outside the {info.dtype} range [{info.min}, {info.max}]"
         )
+    if a.dtype.kind == "f" and (a != np.trunc(a)).any():
+        raise ValidationError(f"{what} hold non-integral values")
     return a.astype(dtype)
+
+
+def _check_frac(where: str, **fracs: int) -> None:
+    for key, frac in fracs.items():
+        if not 0 <= frac <= MAX_FRAC:
+            raise ValidationError(f"{where}: {key} {frac} outside [0, {MAX_FRAC}]")
+
+
+def check_frac_bits(path: str, frac: int) -> int:
+    """A file header's ``frac_bits``, which must be in [0, MAX_FRAC]."""
+    if not 0 <= frac <= MAX_FRAC:
+        raise FileFormatError(f"{path}: frac_bits {frac} outside [0, {MAX_FRAC}]")
+    return frac
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +291,10 @@ class LayerDescriptor:
             raise ValidationError(f"{self.name or 'layer'}: empty convolution output")
         if self.pool and (self.conv_h < 2 or self.conv_w < 2):
             raise ValidationError(f"{self.name or 'layer'}: output too small to pool")
+        _check_frac(
+            self.name or "layer",
+            frac_in=self.frac_in, frac_w=self.frac_w, frac_out=self.frac_out,
+        )
 
     # spatial dims before pooling
     @property
@@ -316,6 +341,11 @@ class DenseLayerDescriptor:
     frac_w: int = 8
     frac_out: int = 8
     weights_path: Optional[str] = None
+
+    def __post_init__(self):
+        _check_frac(
+            "fc layer", frac_in=self.frac_in, frac_w=self.frac_w, frac_out=self.frac_out
+        )
 
 
 @dataclass
@@ -370,8 +400,10 @@ def _object_list(path: str, key: str, entries, what: str) -> list[dict]:
 def _int_field(path: str, where: str, entry: dict, key: str, default=None) -> int:
     value = entry.get(key, default)
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FileFormatError(
             f"{path}: {where} field {key!r} is not an integer: {value!r}"
         ) from None
@@ -389,7 +421,8 @@ def load_network(path: str) -> NetworkDescriptor:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError covers malformed JSON and text that is not UTF-8
         raise FileFormatError(f"cannot parse network config {path}: {e}") from e
     if not isinstance(doc, dict) or "layers" not in doc:
         raise FileFormatError(f"{path}: missing 'layers'")
@@ -493,7 +526,7 @@ def load_tensor(path: str) -> FeatureMapTensor:
         raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     flat = np.frombuffer(blob, dtype="<i2", offset=11).astype(np.int16)
     values = np.ascontiguousarray(flat.reshape(h, w, c).transpose(2, 0, 1))
-    return FeatureMapTensor(values, QFormat(frac))
+    return FeatureMapTensor(values, QFormat(check_frac_bits(path, frac)))
 
 
 def save_weights(k: KernelSet, path: str) -> None:
@@ -518,4 +551,6 @@ def load_weights(path: str) -> KernelSet:
         raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     w = np.frombuffer(blob, dtype="<i2", offset=11, count=n_w).astype(np.int16)
     b = np.frombuffer(blob, dtype="<i4", offset=11 + 2 * n_w).astype(np.int32)
-    return KernelSet(w.reshape(n_out, n_in, k, k).copy(), b.copy(), QFormat(frac))
+    return KernelSet(
+        w.reshape(n_out, n_in, k, k).copy(), b.copy(), QFormat(check_frac_bits(path, frac))
+    )

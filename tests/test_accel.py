@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     decode_stripe,
@@ -20,7 +22,7 @@ from nhsim.accel import (
     simulate_layer_stats,
 )
 from nhsim.cli import random_case
-from nhsim.fxp import QFormat
+from nhsim.fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN, QFormat
 from nhsim.netmodel import FeatureMapTensor, LayerDescriptor, ValidationError
 
 HW = HardwareConfig()
@@ -246,6 +248,123 @@ class TestFunctionalEquivalence:
         sched = plan_layer(other, HW)
         with pytest.raises(ValidationError):
             simulate_layer(t, kern, layer, schedule=sched)
+
+
+def extreme_case(rng, layer, mag_x=15, mag_w=15, mag_b=31):
+    """Input, weights and bias up to 2**mag in magnitude, a tenth of each
+    pinned to its type's limits, so the clamps at 32 and 16 bits engage."""
+
+    def draw(shape, mag, lo, hi):
+        v = rng.integers(-(1 << mag), 1 << mag, size=shape, endpoint=True)
+        u = rng.random(shape)
+        v[u < 0.05], v[u > 0.95] = lo, hi
+        return np.clip(v, lo, hi)
+
+    shape = (layer.n_in, layer.h, layer.w)
+    x = draw(shape, mag_x, I16_MIN, I16_MAX) * (rng.random(shape) >= 0.3)
+    w = draw((layer.n_out, layer.n_in, layer.k, layer.k), mag_w, I16_MIN, I16_MAX)
+    b = draw(layer.n_out, mag_b, I32_MIN, I32_MAX)
+    return (
+        FeatureMapTensor(x.astype(np.int16), QFormat(layer.frac_in)),
+        netmodel.KernelSet(w.astype(np.int16), b.astype(np.int32), QFormat(layer.frac_w)),
+    )
+
+
+class TestPipelineProperties:
+    """The pipeline's float64 readout (pool first, then bias, clamp,
+    requantize and ReLU) against the oracle's int64 readout."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from([1, 3, 5, 7]), pad=st.integers(0, 3),
+        conv_h=st.integers(1, 13), conv_w=st.integers(1, 13),
+        n_in=st.integers(1, 12), n_out=st.integers(1, 40),
+        fracs=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15)),
+        mags=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 31)),
+        relu=st.booleans(), pool=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle(self, k, pad, conv_h, conv_w, n_in, n_out, fracs, mags,
+                            relu, pool, seed):
+        pad = min(pad, (conv_h + k - 2) // 2, (conv_w + k - 2) // 2)
+        pool = pool and conv_h >= 2 and conv_w >= 2
+        frac_in, frac_w, frac_out = fracs
+        layer = LayerDescriptor(
+            n_in=n_in, n_out=n_out, h=conv_h + k - 1 - 2 * pad, w=conv_w + k - 1 - 2 * pad,
+            k=k, pad=pad, relu=relu, pool=pool,
+            frac_in=frac_in, frac_w=frac_w, frac_out=frac_out,
+        )
+        t, kern = extreme_case(np.random.default_rng(seed), layer, *mags)
+        sim = simulate_layer(t, kern, layer)
+        assert np.array_equal(sim.tensor.values, refmodel.layer_forward(t, layer, kern).values)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("pool", [False, True])
+    # right shift by 8, no shift, left shift by 15
+    @pytest.mark.parametrize("fracs", [(8, 8, 8), (3, 4, 7), (0, 0, 15)])
+    def test_saturating_layer_with_odd_rows_and_columns(self, rng, relu, pool, fracs):
+        frac_in, frac_w, frac_out = fracs
+        layer = LayerDescriptor(
+            n_in=5, n_out=7, h=9, w=11, k=3, relu=relu, pool=pool,
+            frac_in=frac_in, frac_w=frac_w, frac_out=frac_out,
+        )
+        assert layer.conv_h % 2 == 1 and layer.conv_w % 2 == 1
+        t, kern = extreme_case(rng, layer)
+        acc = refmodel.conv2d(t, kern, layer.pad)
+        assert acc.min() == I32_MIN and acc.max() == I32_MAX
+        got = simulate_layer(t, kern, layer).tensor.values
+        assert np.array_equal(got, refmodel.layer_forward(t, layer, kern).values)
+        assert got.min() == (0 if relu else I16_MIN) and got.max() == I16_MAX
+
+    @pytest.mark.parametrize(
+        "layer, clusters",
+        [
+            # bank groups of 2 (84*7*7 values > 4096): 33 then 32 channels
+            (LayerDescriptor(n_in=84, n_out=65, h=6, w=7, k=7, pad=3, pool=True,
+                             frac_in=2, frac_w=13, frac_out=9), [3, 4]),
+            # 65 channels one MAC each, then 64 with two
+            (LayerDescriptor(n_in=6, n_out=129, h=9, w=8, k=5, pad=2, relu=False,
+                             frac_in=15, frac_w=15, frac_out=0), [1, 2]),
+            # three passes of one cluster size, evaluated as one run
+            (LayerDescriptor(n_in=3, n_out=300, h=7, w=7, k=3, pad=1, pool=True,
+                             frac_in=0, frac_w=1, frac_out=12), [1, 1, 1]),
+        ],
+        ids=["bank-groups-3-4", "clusters-1-2", "three-passes"],
+    )
+    def test_multi_pass_layer(self, rng, layer, clusters):
+        assert [p.cluster_size for p in plan_layer(layer, HW).passes] == clusters
+        t, kern = extreme_case(rng, layer, mag_x=12, mag_w=12, mag_b=24)
+        sim = simulate_layer(t, kern, layer)
+        assert np.array_equal(sim.tensor.values, refmodel.layer_forward(t, layer, kern).values)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "stripes, blocks",
+        # 11 conv rows in blocks of two stripes, or of one: the last block
+        # holds the odd row, which pooling drops
+        [(2, [4, 4, 3]), (0, [2, 2, 2, 2, 2, 1])],
+    )
+    def test_blocks_match_oracle(self, rng, monkeypatch, k, stripes, blocks):
+        layer = LayerDescriptor(
+            n_in=5, n_out=1, h=11, w=9, k=k, pad=(k - 1) // 2, pool=True,
+            frac_in=6, frac_w=12, frac_out=10,
+        )
+        # one output channel: 128 clusters, so each of the 5 active ones
+        # holds one input channel and a k*k-row tap matrix
+        assert plan_layer(layer, HW).passes[0].cluster_size == 128
+        stripe_bytes = layer.k * layer.k * 2 * layer.conv_w * 8
+        monkeypatch.setattr(accel, "_BLOCK_BYTES", stripes * stripe_bytes)
+        rows = []
+        real = np.lib.stride_tricks.sliding_window_view
+
+        def spy(x, window_shape, axis):
+            rows.append(window_shape[0])
+            return real(x, window_shape, axis=axis)
+
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", spy)
+        t, kern = extreme_case(rng, layer, mag_x=10, mag_w=10, mag_b=20)
+        got = simulate_layer(t, kern, layer).tensor.values
+        assert rows[::5] == blocks
+        assert np.array_equal(got, refmodel.layer_forward(t, layer, kern).values)
 
 
 class TestZeroSkipping:

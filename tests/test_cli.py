@@ -235,6 +235,17 @@ class TestCliCommands:
         assert err.startswith("nhsim: ") and want in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_corrupt_frac_bits_fails_in_one_line(self, tmp_path, rng, capsys):
+        src = tmp_path / "bad.nht"
+        netmodel.save_tensor(random_tensor(rng, 2, 4, 4), str(src))
+        blob = bytearray(src.read_bytes())
+        blob[10] = 200  # frac_bits, outside [0, 15]
+        src.write_bytes(bytes(blob))
+        rc = main(["encode", "--in", str(src), "--out", str(tmp_path / "t.nhc")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"nhsim: {src}: frac_bits 200 outside [0, 15]\n"
+
     def test_bad_network_json_fails_in_one_line(self, tmp_path, rng, capsys):
         netpath = tmp_path / "net.json"
         netpath.write_text('{"layers": 5}')

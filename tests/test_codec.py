@@ -436,3 +436,27 @@ class TestContainer:
         path.write_bytes(b"NHC1" + b"\x00" * 6)
         with pytest.raises(netmodel.FileFormatError, match="truncated header"):
             load_stream(str(path))
+
+    def test_frac_bits_out_of_range(self, tmp_path):
+        path = tmp_path / "s.nhc"
+        save_stream(encode(tensor([1, 0, 2, 0], 1, 2, 2)), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[10] = 200  # the frac_bits byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(netmodel.FileFormatError, match="frac_bits 200 outside"):
+            load_stream(str(path))
+
+
+class TestDecodeHeader:
+    """decode checks an in-memory stream's header before sizing buffers."""
+
+    def test_frac_bits_out_of_range(self):
+        s = CompressedStream(np.array([0x00050001], dtype=np.uint32), 2, 1, 1, 16, 16)
+        with pytest.raises(StreamError, match="frac_bits 16 outside"):
+            decode(s)
+
+    @pytest.mark.parametrize("dims", [(1025, 1, 1), (1, 513, 1), (65535, 65535, 65535)])
+    def test_dims_beyond_limits(self, dims):
+        s = CompressedStream(np.zeros(1, dtype=np.uint32), 2, *dims, 8)
+        with pytest.raises(StreamError, match="exceed"):
+            decode(s)

@@ -183,6 +183,40 @@ class TestValueRanges:
                 QFormat(8),
             )
 
+    def test_fractional_activations_rejected(self):
+        with pytest.raises(ValidationError, match="tensor values hold non-integral"):
+            FeatureMapTensor(np.array([[[1.5, -2.7]]]), QFormat(8))
+
+    def test_fractional_weight_rejected(self):
+        w = np.zeros((1, 1, 3, 3))
+        w[0, 0, 1, 1] = 0.9
+        with pytest.raises(ValidationError, match="weights hold non-integral"):
+            KernelSet(w, np.zeros(1, dtype=np.int32), QFormat(8))
+
+    def test_fractional_bias_rejected(self):
+        with pytest.raises(ValidationError, match="bias hold non-integral"):
+            KernelSet(np.zeros((1, 1, 1, 1), np.int16), np.array([0.5]), QFormat(8))
+
+    def test_nan_has_its_own_message(self):
+        with pytest.raises(ValidationError, match="^tensor values contain NaN$"):
+            FeatureMapTensor(np.array([[[0.0, np.nan]]]), QFormat(8))
+        with pytest.raises(ValidationError, match="^weights contain NaN$"):
+            KernelSet(np.full((1, 1, 1, 1), np.nan), np.zeros(1), QFormat(8))
+        with pytest.raises(ValidationError, match="^bias contain NaN$"):
+            KernelSet(np.zeros((1, 1, 1, 1)), np.array([np.nan]), QFormat(8))
+
+    def test_non_numeric_dtype_rejected(self):
+        with pytest.raises(ValidationError, match="tensor values have dtype"):
+            FeatureMapTensor(np.array([[["1"]]]), QFormat(8))
+
+    def test_integral_floats_are_cast(self):
+        t = FeatureMapTensor(np.array([[[-32768.0, -0.0, 3.0, 32767.0]]]), QFormat(8))
+        assert t.values.dtype == np.int16
+        assert t.values.tolist() == [[[-32768, 0, 3, 32767]]]
+        kern = KernelSet(np.full((1, 1, 1, 1), -7.0), np.array([-(2.0**31)]), QFormat(8))
+        assert kern.weights.ravel().tolist() == [-7]
+        assert kern.bias.tolist() == [-(2**31)]
+
     def test_values_at_the_limits_are_cast(self):
         t = FeatureMapTensor(np.array([[[-32768, 32767]]], dtype=np.int64), QFormat(8))
         assert t.values.dtype == np.int16
@@ -249,6 +283,28 @@ class TestFileRoundtrips:
         save_weights(k, str(path))
         path.write_bytes(path.read_bytes()[:6])  # magic plus two header bytes
         with pytest.raises(netmodel.FileFormatError, match="truncated header"):
+            load_weights(str(path))
+
+
+    # byte 10 of all three headers is frac_bits; QFormat admits [0, 15]
+    @pytest.mark.parametrize("frac", [16, 200, 255])
+    def test_tensor_frac_bits_out_of_range(self, tmp_path, frac):
+        path = tmp_path / "t.nht"
+        save_tensor(FeatureMapTensor(np.ones((1, 2, 2), np.int16), QFormat(8)), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[10] = frac
+        path.write_bytes(bytes(blob))
+        with pytest.raises(netmodel.FileFormatError, match=f"frac_bits {frac} outside"):
+            load_tensor(str(path))
+
+    def test_weights_frac_bits_out_of_range(self, tmp_path):
+        path = tmp_path / "w.nhw"
+        k = KernelSet(np.ones((2, 1, 1, 1), np.int16), np.zeros(2, np.int32), QFormat(8))
+        save_weights(k, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[10] = 200
+        path.write_bytes(bytes(blob))
+        with pytest.raises(netmodel.FileFormatError, match="frac_bits 200 outside"):
             load_weights(str(path))
 
 
@@ -353,6 +409,44 @@ class TestNetworkDescriptors:
             json.dump(doc, f)
         with pytest.raises(netmodel.FileFormatError, match=match):
             load_network(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_in", 1.5), ("h", float("inf")), ("k", float("-inf"))]
+    )
+    def test_non_integral_number_rejected(self, tmp_path, key, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc["layers"][0][key] = value
+        with open(path, "w") as f:
+            json.dump(doc, f)  # writes Infinity, which json.load reads back
+        with pytest.raises(netmodel.FileFormatError, match=f"layer 0 field '{key}'"):
+            load_network(path)
+
+    def test_integral_float_accepted(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["layers"][0]["n_out"] = 4.0
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert load_network(path).layers[0].n_out == 4
+
+    @pytest.mark.parametrize(
+        "section, key", [("layers", "frac_out"), ("layers", "frac_w"), ("fc", "frac_out")]
+    )
+    def test_frac_field_out_of_range_rejected(self, tmp_path, section, key):
+        path, doc = self._saved_doc(tmp_path)
+        doc[section][0][key] = 16
+        if key == "frac_out" and section == "layers":
+            doc["fc"][0]["frac_in"] = 16  # keep the chain check out of the way
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(ValidationError, match=f"{key} 16 outside \\[0, 15\\]"):
+            load_network(path)
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"[" * 100_000])
+    def test_undecodable_or_deep_json_rejected(self, tmp_path, blob):
+        p = tmp_path / "net.json"
+        p.write_bytes(blob)
+        with pytest.raises(netmodel.FileFormatError, match="cannot parse"):
+            load_network(str(p))
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "net.json"
