@@ -229,10 +229,6 @@ def estimate_dram_energy(stats: LayerStats, pj_per_bit: float = DRAM_PJ_PER_BIT)
     return stats.total_bytes * 8 * pj_per_bit * 1e-12
 
 
-def dram_power_watts(energy_joules: float, frames_per_s: float) -> float:
-    return energy_joules * frames_per_s
-
-
 def _tap_counts(pos: np.ndarray, k: int, out_len: int) -> np.ndarray:
     """Output positions (of ``out_len``) that padded input positions feed."""
     n = np.minimum(pos, out_len - 1) - np.maximum(pos - k + 1, 0) + 1

@@ -22,11 +22,14 @@ Decoding
 An SM segment is followed by exactly as many values as it has set bits,
 so each header fixes where the next one starts.  :func:`decode` chases the
 headers from field 0 with one integer add per segment and checks each
-row's last SM for bits past the row end.  It then unpacks all SMs into one
-pixel mask and places every non-SM field with a single boolean scatter.
-A malformed stream raises :class:`StreamError` at the first fault met in
-stream order: an SM past the row end, an SM promising more values than
-remain, a row the stream ends inside, or fields left after the last row.
+row's last SM for bits past the row end.  It then unpacks the SMs of a
+block of rows at a time into a pixel mask of at most 64 KiB and places
+that block's non-SM fields with one boolean scatter.  A stream whose field
+count does not fill its words exactly (``ceil(field_count / 2)`` words)
+raises :class:`StreamError` at word 0, with the other header checks;
+otherwise a malformed stream raises at the first fault met in stream
+order: an SM past the row end, an SM promising more values than remain, a
+row the stream ends inside, or fields left after the last row.
 
 ``.nhc`` container: magic ``NHC1``; little-endian u16 channels, u16 height,
 u16 width, u8 frac_bits, u32 word count, u8 trailing-pad flag; then the
@@ -58,6 +61,8 @@ from .netmodel import (
 )
 
 SEGMENT_BITS = 16
+# bytes of pixel mask that decode unpacks per block of rows (at least one row)
+_DECODE_BLOCK_BYTES = 1 << 16
 RL_RUN_BITS = 5
 RL_VALUE_BITS = 16
 RL_MAX_RUN = 31
@@ -246,7 +251,7 @@ def decode_raw(s: RawPixelStream) -> FeatureMapTensor:
 # decode
 
 
-def _check_dims(s: CompressedStream, dims) -> tuple[int, int, int]:
+def _check_header(s: CompressedStream, dims) -> tuple[int, int, int]:
     # checked before any buffer is sized from the header
     if s.channels > MAX_CHANNELS or s.height > MAX_DIM or s.width > MAX_DIM:
         raise StreamError(
@@ -257,15 +262,16 @@ def _check_dims(s: CompressedStream, dims) -> tuple[int, int, int]:
         raise StreamError(
             f"stream header frac_bits {s.frac_bits} outside [0, {MAX_FRAC}]", 0
         )
-    if dims is None:
-        return s.channels, s.height, s.width
-    c, h, w = dims
-    if (c, h, w) != (s.channels, s.height, s.width):
+    if dims is not None and tuple(dims) != (s.channels, s.height, s.width):
         raise StreamError(
-            f"declared dims {(c, h, w)} disagree with stream header "
+            f"declared dims {tuple(dims)} disagree with stream header "
             f"{(s.channels, s.height, s.width)}", 0,
         )
-    return c, h, w
+    if s.field_count < 0 or s.word_count != -(-s.field_count // 2):
+        raise StreamError(
+            f"field count {s.field_count} does not fill {s.word_count} words", 0
+        )
+    return s.channels, s.height, s.width
 
 
 def _segment_starts(fields: np.ndarray, n_segs: int) -> tuple[np.ndarray, int]:
@@ -291,11 +297,14 @@ def _segment_starts(fields: np.ndarray, n_segs: int) -> tuple[np.ndarray, int]:
 def decode(s: CompressedStream, dims=None) -> FeatureMapTensor:
     """Exact inverse of :func:`encode`.
 
-    Raises :class:`StreamError` on truncation, on an SM bit past the end of
+    Raises :class:`StreamError` on a header fault (dims or ``frac_bits``
+    out of range, ``dims`` disagreeing with the header, a field count that
+    does not fill the words), on truncation, on an SM bit past the end of
     a row, or on fields left over after the last row; when a stream has
-    several faults, the one met first in stream order is reported.
+    several faults in its fields, the one met first in stream order is
+    reported.
     """
-    c, h, w = _check_dims(s, dims)
+    c, h, w = _check_header(s, dims)
     row_px = w * c
     segs = row_segments(w, c)
     fields = s.fields()
@@ -327,10 +336,18 @@ def decode(s: CompressedStream, dims=None) -> FeatureMapTensor:
 
     maps = fields[starts].reshape(h, segs).view(np.uint8)
     nonzero = np.delete(fields, starts).view(np.int16)
-    del starts  # eight bytes a segment: free it before the pixel mask exists
-    mask = np.unpackbits(maps, axis=1, count=row_px, bitorder="little").view(bool)
+    del starts  # eight bytes a segment: free it before the pixels exist
     values = np.zeros((h, w, c), dtype=np.int16)
-    values.reshape(h, row_px)[mask] = nonzero
+    rows = values.reshape(h, row_px)
+    block = max(1, _DECODE_BLOCK_BYTES // max(1, row_px))
+    done = 0
+    for y in range(0, h, block):
+        mask = np.unpackbits(
+            maps[y : y + block], axis=1, count=row_px, bitorder="little"
+        ).view(bool)
+        n = np.count_nonzero(mask)
+        rows[y : y + block][mask] = nonzero[done : done + n]
+        done += n
     return FeatureMapTensor(values.transpose(2, 0, 1), QFormat(s.frac_bits))
 
 

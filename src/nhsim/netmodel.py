@@ -45,6 +45,9 @@ MAX_KERNEL = 7
 MAX_PAD = 3
 MAX_FRAC = 15  # fractional bits of a 16-bit value, as QFormat admits
 
+# pixels per block of synthetic_tensor's mask and sign draws; must be even
+_CHUNK = 65536
+
 
 class ValidationError(ValueError):
     """A descriptor or tensor violates a structural limit."""
@@ -185,21 +188,47 @@ def synthetic_tensor(
     values are uniform in +-[1, 4095].  The values are generated in stream
     order, so ``values`` is a (channel, row, column) view of a stream-order
     buffer, not a C-contiguous array.
+
+    The i.i.d. mask and the signs are drawn ``_CHUNK`` pixels at a time,
+    so the call holds little beyond the two-byte result and a one-byte
+    mask: 3.2 bytes a pixel at the peak on a 64x224x224 map, where
+    whole-tensor draws peaked at 9.0.  The chunks
+    take the same words from ``rng`` as one whole draw each (see the
+    comments below), so a seed gives the same tensor, and leaves ``rng``
+    in the same state, as drawing the uniforms, values and signs whole.
     """
     n = channels * height * width
     if not 0.0 <= target_sparsity <= 1.0:
         raise ValidationError("sparsity must be in [0, 1]")
     if burst_mean is None:
-        nonzero = rng.random(n) >= target_sparsity
+        # random() turns one 64-bit word into one double, in order, so
+        # filling consecutive chunks takes exactly the words of random(n)
+        nonzero = np.empty(n, dtype=bool)
+        buf = np.empty(min(n, _CHUNK))
+        for i in range(0, n, _CHUNK):
+            u = buf[: min(_CHUNK, n - i)]
+            rng.random(out=u)
+            np.greater_equal(u, target_sparsity, out=nonzero[i : i + len(u)])
+        del buf  # free it before the values exist
     else:
         nonzero = _markov_nonzero(n, target_sparsity, burst_mean, rng)
+    # Kept whole: this draw rejects 16 of every 65536 16-bit values, so the
+    # words it takes depend on the data, and chunking it could stop a chunk
+    # on half a 32-bit word and shift every later draw.
     flat = rng.integers(1, 1 << 12, size=n, dtype=np.int16)
-    # sign draw 0 negates: with m = -1, (v ^ m) - m == -v; with m = 0, v
-    m = rng.integers(0, 2, size=n, dtype=np.int16)
-    m -= 1
-    flat ^= m
-    flat -= m
-    flat *= nonzero
+    # Each sign is one 16-bit half of a 32-bit word and the draw over
+    # [0, 2) never rejects.  A call keeps an unused high half only until it
+    # returns, so an even-length chunk takes exactly len/2 whole words and
+    # leaves nothing behind: chunks of the even _CHUNK, then any remainder,
+    # take the ceil(n/2) words of one integers(0, 2, size=n) call.
+    # Sign draw 0 negates: with m = -1, (v ^ m) - m == -v; with m = 0, v.
+    for i in range(0, n, _CHUNK):
+        part = flat[i : i + _CHUNK]
+        m = rng.integers(0, 2, size=len(part), dtype=np.int16)
+        m -= 1
+        part ^= m
+        part -= m
+        part *= nonzero[i : i + len(part)]
     values = flat.reshape(height, width, channels).transpose(2, 0, 1)
     return FeatureMapTensor(values, qformat)
 
@@ -236,23 +265,6 @@ class KernelSet:
     @property
     def k(self) -> int:
         return self.weights.shape[2]
-
-
-def quantize_kernel_set(
-    weights: np.ndarray, bias: np.ndarray, frac_w: int, frac_in: int
-) -> KernelSet:
-    """Quantize real-valued weights/biases; biases land in accumulator format."""
-    from .fxp import quantize_array
-
-    qw = QFormat(frac_w)
-    w = quantize_array(np.asarray(weights, dtype=np.float64), qw)
-    acc_scale = 1 << (frac_w + frac_in)
-    b = np.clip(
-        np.rint(np.asarray(bias, dtype=np.float64) * acc_scale),
-        -(1 << 31),
-        (1 << 31) - 1,
-    ).astype(np.int32)
-    return KernelSet(w, b, qw)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +412,10 @@ def _object_list(path: str, key: str, entries, what: str) -> list[dict]:
 def _int_field(path: str, where: str, entry: dict, key: str, default=None) -> int:
     value = entry.get(key, default)
     try:
-        if isinstance(value, float) and not value.is_integer():
+        # int() would read true as 1 and "16" as 16
+        if isinstance(value, (bool, str)) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
             raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):

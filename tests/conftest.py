@@ -12,6 +12,8 @@ row-by-row encoder, the bit-by-bit decoder and the per-pixel generator that
 the vectorised codec and generator must reproduce bit for bit.
 :func:`reference_conv2d` is the int64 ``tensordot`` convolution that the
 float64 matmul oracle in :mod:`nhsim.refmodel` replaced.
+:func:`quantize_kernel_set` turns real-valued weights into a kernel set;
+only tests need it, so it lives here rather than in the package.
 """
 
 from typing import Iterator, Optional
@@ -84,9 +86,14 @@ def reference_encode(t: FeatureMapTensor) -> CompressedStream:
 def reference_iter_rows(s: CompressedStream) -> Iterator[tuple[int, np.ndarray]]:
     """Decode bit by bit, yielding (y, row pixels in stream order).
 
-    Raises :class:`StreamError` on truncation, on an SM bit past the end of
-    a row, or on fields left over after the last row.
+    Raises :class:`StreamError` on a field count that does not fill the
+    words, on truncation, on an SM bit past the end of a row, or on fields
+    left over after the last row.
     """
+    if s.field_count < 0 or s.word_count != -(-s.field_count // 2):
+        raise StreamError(
+            f"field count {s.field_count} does not fill {s.word_count} words", 0
+        )
     c, h, w = s.channels, s.height, s.width
     fields = s.fields()
     values_i16 = fields.view(np.int16)
@@ -321,6 +328,21 @@ def random_tensor(rng, channels, h, w, sparsity=0.5, frac=8, lo=-512, hi=512):
     vals = rng.integers(lo, hi + 1, size=(channels, h, w))
     mask = rng.random((channels, h, w)) >= sparsity
     return FeatureMapTensor((vals * mask).astype(np.int16), QFormat(frac))
+
+
+def quantize_kernel_set(
+    weights: np.ndarray, bias: np.ndarray, frac_w: int, frac_in: int
+) -> KernelSet:
+    """Quantize real-valued weights/biases; biases land in accumulator format."""
+    qw = QFormat(frac_w)
+    w = fxp.quantize_array(np.asarray(weights, dtype=np.float64), qw)
+    acc_scale = 1 << (frac_w + frac_in)
+    b = np.clip(
+        np.rint(np.asarray(bias, dtype=np.float64) * acc_scale),
+        -(1 << 31),
+        (1 << 31) - 1,
+    ).astype(np.int32)
+    return KernelSet(w, b, qw)
 
 
 def random_kernels(rng, n_out, n_in, k, frac=10, wmax=256, bmax=1 << 18):

@@ -12,7 +12,7 @@ from conftest import (
     stream_order_iter,
     weight_ops_for_pixel,
 )
-from nhsim import accel, codec, netmodel, refmodel
+from nhsim import accel, codec, netmodel, presets, refmodel
 from nhsim.accel import (
     HardwareConfig,
     LayerStats,
@@ -21,7 +21,7 @@ from nhsim.accel import (
     simulate_layer,
     simulate_layer_stats,
 )
-from nhsim.cli import random_case
+from nhsim.cli import random_case, run_network
 from nhsim.fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN, QFormat
 from nhsim.netmodel import FeatureMapTensor, LayerDescriptor, ValidationError
 
@@ -521,7 +521,12 @@ class TestEnergy:
         s = LayerStats(bytes_in=123, bytes_out=456, bytes_kernels=789)
         assert estimate_dram_energy(s) == (123 + 456 + 789) * 8 * 21.0 * 1e-12
 
-    def test_power_at_frame_rate(self):
-        s = LayerStats(bytes_in=1 << 20)
-        e = estimate_dram_energy(s)
-        assert accel.dram_power_watts(e, 100.0) == pytest.approx(100 * e)
+    def test_power_at_frame_rate(self, rng):
+        net = presets.network("roshambo")
+        first = net.layers[0]
+        x = random_tensor(rng, first.n_in, first.h, first.w)
+        totals = run_network(net, x, synthetic_sparsity=0.82)[0].totals
+        assert totals["frames_per_s"] > 0
+        assert totals["dram_power_w"] == (
+            totals["dram_energy_j_per_frame"] * totals["frames_per_s"]
+        )

@@ -256,6 +256,19 @@ class TestCliCommands:
         assert rc == 2
         assert err == f"nhsim: {netpath}: 'layers' must be a list of objects, got int\n"
 
+    def test_numeric_string_in_network_json_fails_in_one_line(self, tmp_path, rng, capsys):
+        netpath = tmp_path / "net.json"
+        netmodel.save_network(presets.network("roshambo"), str(netpath))
+        doc = json.loads(netpath.read_text())
+        doc["layers"][0]["n_out"] = "16"
+        netpath.write_text(json.dumps(doc))
+        inpath = str(tmp_path / "in.nht")
+        netmodel.save_tensor(random_tensor(rng, 1, 64, 64), inpath)
+        rc = main(["run", "--net", str(netpath), "--input", inpath])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"nhsim: {netpath}: layer 0 field 'n_out' is not an integer: '16'\n"
+
     @pytest.mark.parametrize("missing", ["stream", "network", "input"])
     def test_missing_file_fails_in_one_line(self, tmp_path, rng, capsys, missing):
         absent = str(tmp_path / "absent")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,29 @@ class TestDecode:
         with pytest.raises(StreamError, match="disagree"):
             decode(s, dims=(1, 4, 1))
 
+    @pytest.mark.parametrize("block_bytes", [1, 40, 1000])
+    def test_decode_in_row_blocks_equals_reference(self, monkeypatch, rng, block_bytes):
+        monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", block_bytes)
+        for c, h, w, sp in [(3, 9, 7, 0.6), (1, 5, 16, 0.0), (8, 12, 5, 1.0), (5, 11, 9, 0.9)]:
+            t = netmodel.synthetic_tensor(c, h, w, sp, rng)
+            s = encode(t)
+            assert np.array_equal(decode(s).values, reference_decode(s))
+
+    def test_sparse_decode_peak_below_old_row_decoder(self, rng):
+        # the per-row decoder this one replaced peaked at 2.03 MiB here,
+        # one pixel mask for the whole tensor at 2.55 MiB
+        v = rng.integers(1, 2000, size=(64, 112, 112)).astype(np.int16)
+        v[rng.random(v.shape) < 0.9] = 0
+        s = encode(FeatureMapTensor(v, QFormat(8)))
+        tracemalloc.start()
+        try:
+            back = decode(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, v)
+        assert peak < 2.03 * 2**20
+
     def test_error_carries_word_offset(self):
         s = CompressedStream(
             np.array([0x0005_0007], dtype=np.uint32), 2, 1, 1, 16, 8
@@ -225,7 +250,8 @@ def decode_outcome(decoder, s: CompressedStream):
 @st.composite
 def corrupted_streams(draw):
     """A valid stream with one flipped bit, a field count moved by up to 2
-    or words dropped from the end."""
+    or set anywhere up to twice the words plus 4, or words dropped from the
+    end under a field count that fills the words left."""
     s = reference_encode(draw(tensors()))
     words, count = s.words.copy(), s.field_count
     kind = draw(st.sampled_from(["flip", "count", "drop"]))
@@ -233,9 +259,13 @@ def corrupted_streams(draw):
         i = draw(st.integers(0, len(words) - 1))
         words[i] ^= np.uint32(1) << np.uint32(draw(st.integers(0, 31)))
     elif kind == "count":
-        count += draw(st.sampled_from([-2, -1, 1, 2]))
+        count = draw(
+            st.sampled_from([count - 2, count - 1, count + 1, count + 2])
+            | st.integers(-2, 2 * len(words) + 4)
+        )
     else:
         words = words[: draw(st.integers(0, len(words) - 1))]
+        count = max(0, 2 * len(words) - draw(st.integers(0, 1)))
     return CompressedStream(words, count, s.channels, s.height, s.width, s.frac_bits)
 
 
@@ -454,6 +484,18 @@ class TestDecodeHeader:
         s = CompressedStream(np.array([0x00050001], dtype=np.uint32), 2, 1, 1, 16, 16)
         with pytest.raises(StreamError, match="frac_bits 16 outside"):
             decode(s)
+
+    @pytest.mark.parametrize("count", [14, 5, 0, -1])
+    def test_field_count_the_words_cannot_hold(self, count):
+        # a 1x1x8 stream of 2 words holds 3 or 4 fields
+        s = encode(tensor([1, 2, 0, 0, 0, 0, 0, 0], 1, 1, 8))
+        assert (s.word_count, s.field_count) == (2, 3)
+        bad = CompressedStream(s.words, count, 1, 1, 8, 8)
+        with pytest.raises(StreamError, match=f"field count {count} does not fill 2 words"):
+            decode(bad)
+        with pytest.raises(StreamError, match="does not fill") as exc:
+            reference_decode(bad)
+        assert exc.value.word_offset == 0
 
     @pytest.mark.parametrize("dims", [(1025, 1, 1), (1, 513, 1), (65535, 65535, 65535)])
     def test_dims_beyond_limits(self, dims):

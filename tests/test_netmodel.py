@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_synthetic_tensor, stream_order_iter
+from conftest import quantize_kernel_set, reference_synthetic_tensor, stream_order_iter
 from nhsim import netmodel, presets
 from nhsim.fxp import QFormat
 from nhsim.netmodel import (
@@ -105,6 +106,7 @@ def assert_same_as_reference(c, h, w, sp, burst_mean, seed):
     assert got.values.shape == (c, h, w)
     assert np.array_equal(got.values, want.values)
     assert got.qformat == want.qformat
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert got_rng.random() == want_rng.random()
 
 
@@ -117,9 +119,9 @@ class TestSyntheticMatchesReference:
         for seed, sp in enumerate([0.0, 1.0, 0.3, 0.82, 0.999]):
             assert_same_as_reference(*shape, sp, burst_mean, seed)
 
-    def test_random_cases(self):
-        meta = np.random.default_rng(77)
-        for _ in range(200):
+    @staticmethod
+    def assert_random_cases(meta, count):
+        for _ in range(count):
             c, h, w = (int(x) for x in meta.integers(1, 13, size=3))
             sp = float(meta.choice([0.0, 1.0, meta.random()]))
             burst_mean = [None, 0.5, 1.0, float(meta.uniform(0.2, 300.0))][
@@ -127,8 +129,56 @@ class TestSyntheticMatchesReference:
             ]
             assert_same_as_reference(c, h, w, sp, burst_mean, int(meta.integers(1 << 31)))
 
+    def test_random_cases(self):
+        self.assert_random_cases(np.random.default_rng(77), 200)
+
     def test_layer_sized_tensor(self):
         assert_same_as_reference(64, 56, 56, 0.82, None, 5)
+
+    def test_chunk_is_even(self):
+        # an odd chunk would end a sign draw on half a 32-bit word
+        assert netmodel._CHUNK % 2 == 0
+
+    @pytest.mark.parametrize("burst_mean", [None, 16.0])
+    @pytest.mark.parametrize("chunk", [2, 6, 64])
+    def test_draws_span_several_chunks(self, monkeypatch, chunk, burst_mean):
+        monkeypatch.setattr(netmodel, "_CHUNK", chunk)
+        # odd and even counts, chunk multiples and one off them
+        counts = {1, 2, 3, chunk - 1, chunk, chunk + 1, 3 * chunk - 1, 3 * chunk,
+                  3 * chunk + 1, 4 * chunk + 2}
+        for n in sorted(counts - {0}):
+            for seed, sp in enumerate([0.0, 1.0, 0.3, 0.82]):
+                assert_same_as_reference(n, 1, 1, sp, burst_mean, seed)
+        for seed, shape in enumerate([(3, 5, 7), (4, 4, 6), (2, 9, 16)]):
+            assert_same_as_reference(*shape, 0.5, burst_mean, 100 + seed)
+
+    @pytest.mark.parametrize("chunk", [2, 6, 64])
+    def test_random_cases_in_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(netmodel, "_CHUNK", chunk)
+        self.assert_random_cases(np.random.default_rng(chunk), 50)
+
+    @pytest.mark.parametrize("burst_mean", [None, 16.0])
+    @pytest.mark.parametrize(
+        "shape",
+        # 2**16 - 1, 2**16, 3 * 2**16 - 1, 3 * 2**16 and 4 * 2**16 + 1 pixels
+        [(771, 85, 1), (1024, 64, 1), (467, 421, 1), (1024, 192, 1), (545, 481, 1)],
+    )
+    def test_default_chunk_boundaries(self, shape, burst_mean):
+        assert netmodel._CHUNK == 1 << 16  # the shapes sit on its boundaries
+        for seed, sp in enumerate([0.0, 1.0, 0.3]):
+            assert_same_as_reference(*shape, sp, burst_mean, seed)
+
+    def test_peak_memory_below_four_bytes_a_pixel(self):
+        # VGG16 conv1's output map; whole-tensor draws peaked at 9 bytes a pixel
+        c, h, w = 64, 224, 224
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            netmodel.synthetic_tensor(c, h, w, 0.82, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * c * h * w
 
 
 class TestTensorLimits:
@@ -384,7 +434,9 @@ class TestNetworkDescriptors:
     @pytest.mark.parametrize(
         "section, key, value",
         [("layers", "n_in", "abc"), ("layers", "pad", None), ("fc", "frac_w", [8]),
-         ("layers", "weights", 5), ("layers", "relu", "false"), ("fc", "relu", None)],
+         ("layers", "weights", 5), ("layers", "relu", "false"), ("fc", "relu", None),
+         ("layers", "n_out", "4"), ("layers", "pad", False), ("layers", "k", True),
+         ("fc", "n_out", "2"), ("fc", "frac_in", True)],
     )
     def test_wrongly_typed_field_rejected(self, tmp_path, section, key, value):
         path, doc = self._saved_doc(tmp_path)
@@ -420,6 +472,22 @@ class TestNetworkDescriptors:
             json.dump(doc, f)  # writes Infinity, which json.load reads back
         with pytest.raises(netmodel.FileFormatError, match=f"layer 0 field '{key}'"):
             load_network(path)
+
+    def test_roshambo_boolean_and_numeric_string_rejected(self, tmp_path):
+        # int() would load these as n_out 16 and pad 0
+        path = str(tmp_path / "net.json")
+        for idx, key, value in [(0, "n_out", "16"), (4, "pad", False)]:
+            save_network(presets.network("roshambo"), path)
+            with open(path) as f:
+                doc = json.load(f)
+            doc["layers"][idx][key] = value
+            with open(path, "w") as f:
+                json.dump(doc, f)
+            with pytest.raises(
+                netmodel.FileFormatError,
+                match=f"layer {idx} field '{key}' is not an integer: {value!r}",
+            ):
+                load_network(path)
 
     def test_integral_float_accepted(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
@@ -475,6 +543,6 @@ class TestNetworkDescriptors:
 def test_quantize_kernel_set_roundtrip():
     w = np.array([[[[0.5]]]])
     b = np.array([1.0])
-    ks = netmodel.quantize_kernel_set(w, b, frac_w=8, frac_in=8)
+    ks = quantize_kernel_set(w, b, frac_w=8, frac_in=8)
     assert ks.weights[0, 0, 0, 0] == 128
     assert ks.bias[0] == 1 << 16
