@@ -9,6 +9,7 @@ from .accel import (
     plan_layer,
     simulate_layer,
     simulate_layer_stats,
+    total_stats,
 )
 from .codec import CompressedStream, cis_bits, decode, encode, threshold_sparsity
 from .fxp import QFormat, mac, quantize, relu16, requantize

@@ -46,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Optional, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -224,6 +224,31 @@ class LayerStats:
 DRAM_PJ_PER_BIT = 21.0
 
 
+_SUMMED_FIELDS = (
+    "cycles_kernel_load", "cycles_input_stream", "cycles_compute",
+    "cycles_output_drain", "cycles_total", "mult_ops",
+    "bytes_in", "bytes_out", "bytes_kernels", "passes",
+)
+
+
+def total_stats(stats: Sequence[LayerStats]) -> LayerStats:
+    """The field-wise sum of ``stats``, which must share one MAC count.
+
+    ``input_reload`` is set when any record reloads its input.  Layers sum
+    their passes and networks their layers through this one function.
+    """
+    macs = {s.macs for s in stats}
+    if len(macs) != 1:
+        raise ValidationError(
+            f"records to total must share one MAC count, got {sorted(macs)}"
+        )
+    return LayerStats(
+        **{f: sum(getattr(s, f) for s in stats) for f in _SUMMED_FIELDS},
+        macs=macs.pop(),
+        input_reload=any(s.input_reload for s in stats),
+    )
+
+
 def estimate_dram_energy(stats: LayerStats, pj_per_bit: float = DRAM_PJ_PER_BIT) -> float:
     """DRAM access energy in joules for the traffic in ``stats``."""
     return stats.total_bytes * 8 * pj_per_bit * 1e-12
@@ -255,9 +280,14 @@ def _row_col_geometry(layer: LayerDescriptor) -> tuple[np.ndarray, np.ndarray, n
 def _input_counts(
     in_values: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulator updates per input channel and non-zero pixels per row."""
-    nz = in_values != 0
-    per_row = np.count_nonzero(nz, axis=2)  # (channel, row)
+    """Accumulator updates per input channel and non-zero pixels per row.
+
+    ``in_values`` may be the values or, as a bool array, the non-zero mask.
+    """
+    nz = in_values if in_values.dtype == bool else in_values != 0
+    # (channel, row); a row of at most MAX_DIM = 512 pixels fits in int16,
+    # and summing bools in int16 takes half the time of count_nonzero
+    per_row = nz.sum(axis=2, dtype=np.int16).astype(np.int64)
     # a pixel feeds k output columns, fewer within k-1 columns of a border:
     # subtract that shortfall from k per non-zero pixel
     short = np.flatnonzero(cols < k)
@@ -289,7 +319,7 @@ def _layer_stats(
     prefill_words = int(-(-row_fields[:prefill_rows].sum() // 2))
 
     reload = schedule.n_passes > 1 and stream_words * 4 > hw.pixel_mem_bytes
-    total = LayerStats(macs=hw.macs, input_reload=reload)
+    passes = []
     for p_idx, pas in enumerate(schedule.passes):
         c_p, v = pas.chan_count, pas.cluster_size
         # input channels are dealt round-robin to the v cooperating MACs
@@ -317,19 +347,23 @@ def _layer_stats(
         load_p = -(-pas.kernel_values // 2)
         overlap = max(compute, stream_p, drain)
 
-        total.cycles_kernel_load += load_p
-        total.cycles_input_stream += stream_p
-        total.cycles_compute += compute
-        total.cycles_output_drain += drain
-        total.cycles_total += load_p + prefill_p + overlap
-        total.mult_ops += c_p * wops_sum
-        total.bytes_in += 4 * stream_p
-        total.bytes_out += 4 * out_words
-        total.bytes_kernels += 2 * pas.kernel_values
-        total.passes += 1
+        passes.append(LayerStats(
+            cycles_kernel_load=load_p,
+            cycles_input_stream=stream_p,
+            cycles_compute=compute,
+            cycles_output_drain=drain,
+            cycles_total=load_p + prefill_p + overlap,
+            mult_ops=c_p * wops_sum,
+            bytes_in=4 * stream_p,
+            bytes_out=4 * out_words,
+            bytes_kernels=2 * pas.kernel_values,
+            passes=1,
+            macs=hw.macs,
+            input_reload=reload,
+        ))
         if tracer is not None:
             tracer.emit_pass(load_p, prefill_p, overlap, visits_sum, nnz_out, k)
-    return total
+    return total_stats(passes)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +509,13 @@ class _TraceWriter:
             self._line("overlap", pin, pout)
 
 
+def _check_input(shape: tuple[int, ...], layer: LayerDescriptor) -> None:
+    if shape != (layer.n_in, layer.h, layer.w):
+        raise ValidationError(
+            f"input {shape} does not match layer ({layer.n_in}, {layer.h}, {layer.w})"
+        )
+
+
 def _check_schedule(layer: LayerDescriptor, schedule: LayerSchedule) -> None:
     if (schedule.n_in, schedule.n_out, schedule.k) != (layer.n_in, layer.n_out, layer.k):
         raise ValidationError(
@@ -497,13 +538,7 @@ def simulate_layer(
         in_tensor = codec.decode(input_)
     else:
         in_tensor = input_
-    if (in_tensor.channels, in_tensor.height, in_tensor.width) != (
-        layer.n_in, layer.h, layer.w,
-    ):
-        raise ValidationError(
-            f"input {(in_tensor.channels, in_tensor.height, in_tensor.width)} "
-            f"does not match layer ({layer.n_in}, {layer.h}, {layer.w})"
-        )
+    _check_input(in_tensor.values.shape, layer)
     if kern.n_out != layer.n_out or kern.n_in != layer.n_in or kern.k != layer.k:
         raise ValidationError("kernel set does not match layer descriptor")
     if schedule is None:
@@ -515,9 +550,21 @@ def simulate_layer(
     return SimResult(tensor=out_tensor, stats=stats, layer=layer)
 
 
+def _nonzero_source(x: Union[FeatureMapTensor, np.ndarray], what: str) -> np.ndarray:
+    """The values of a tensor, or a bool non-zero mask as a plain array."""
+    if isinstance(x, FeatureMapTensor):
+        return x.values
+    values = np.asarray(x)
+    if values.dtype != bool:
+        raise ValidationError(
+            f"{what} must be a FeatureMapTensor or a bool mask, not {values.dtype}"
+        )
+    return values
+
+
 def simulate_layer_stats(
-    in_tensor: FeatureMapTensor,
-    out_tensor: FeatureMapTensor,
+    in_tensor: Union[FeatureMapTensor, np.ndarray],
+    out_tensor: Union[FeatureMapTensor, np.ndarray],
     layer: LayerDescriptor,
     schedule: Optional[LayerSchedule] = None,
     hw: Optional[HardwareConfig] = None,
@@ -527,17 +574,23 @@ def simulate_layer_stats(
 
     Used for what-if runs with synthetic activations, where kernel values
     are unavailable and the functional result is not of interest.  The
-    ``trace`` lines are those :func:`simulate_layer` writes for the same
-    input and output.
+    model reads only which pixels are non-zero, so the input and the output
+    may each be a tensor or a (channels, height, width) bool mask of its
+    non-zero pixels, such as :func:`nhsim.netmodel.synthetic_mask` draws.
+    The ``trace`` lines are those :func:`simulate_layer` writes for the
+    same input and output.
     """
     hw = hw or HardwareConfig()
     if schedule is None:
         schedule = plan_layer(layer, hw)
     else:
         _check_schedule(layer, schedule)
-    if out_tensor.values.shape != layer.out_shape:
+    in_values = _nonzero_source(in_tensor, "input")
+    out_values = _nonzero_source(out_tensor, "stand-in output")
+    _check_input(in_values.shape, layer)
+    if out_values.shape != layer.out_shape:
         raise ValidationError(
-            f"stand-in output {out_tensor.values.shape} does not match "
+            f"stand-in output {out_values.shape} does not match "
             f"layer output {layer.out_shape}"
         )
-    return _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw, trace)
+    return _layer_stats(in_values, out_values, layer, schedule, hw, trace)

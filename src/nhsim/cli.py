@@ -64,36 +64,27 @@ def _finish_report(
     report: RunReport, net: NetworkDescriptor, stats_list: list[LayerStats],
     hw: HardwareConfig,
 ) -> RunReport:
-    cycles = sum(s.cycles_total for s in stats_list)
-    mult = sum(s.mult_ops for s in stats_list)
+    total = accel.total_stats(stats_list)
     dense_macs = sum(l.dense_macs for l in net.layers)
     gop_frame = 2.0 * dense_macs / 1e9
-    seconds = cycles / hw.clock_hz
+    seconds = total.cycles_total / hw.clock_hz
     fps = 1.0 / seconds if seconds > 0 else 0.0
     gop_s = gop_frame * fps
-    traffic = LayerStats(
-        bytes_in=sum(s.bytes_in for s in stats_list),
-        bytes_out=sum(s.bytes_out for s in stats_list),
-        bytes_kernels=sum(s.bytes_kernels for s in stats_list),
-    )
-    energy = accel.estimate_dram_energy(traffic)
-    load = sum(s.cycles_kernel_load for s in stats_list)
+    energy = accel.estimate_dram_energy(total)
     report.totals = {
-        "cycles_total": cycles,
+        "cycles_total": total.cycles_total,
         "dense_macs": dense_macs,
         "gop_per_frame": gop_frame,
         "ms_per_frame": 1e3 * seconds,
         "frames_per_s": fps,
         "gop_per_s": gop_s,
         "efficiency": gop_s / hw.peak_gops if hw.peak_gops else 0.0,
-        "utilization": mult / (hw.macs * cycles) if cycles else 0.0,
-        "utilization_excl_load": (
-            mult / (hw.macs * (cycles - load)) if cycles > load else 0.0
-        ),
-        "bytes_in": traffic.bytes_in,
-        "bytes_out": traffic.bytes_out,
-        "bytes_kernels": traffic.bytes_kernels,
-        "dram_bytes_per_frame": traffic.total_bytes,
+        "utilization": total.utilization,
+        "utilization_excl_load": total.utilization_excl_load,
+        "bytes_in": total.bytes_in,
+        "bytes_out": total.bytes_out,
+        "bytes_kernels": total.bytes_kernels,
+        "dram_bytes_per_frame": total.total_bytes,
         "dram_energy_j_per_frame": energy,
         "dram_power_w": energy * fps,
     }
@@ -143,8 +134,8 @@ def run_network(
     Real mode loads every layer's weights and produces the network output
     (the fully-connected tail runs functionally, with no cycle cost).
     With ``synthetic_sparsity`` set, hidden activations are generated at
-    that sparsity instead, no weights are read, and only the performance
-    report is produced.
+    that sparsity instead, as non-zero masks (:func:`netmodel.synthetic_mask`),
+    no weights are read, and only the performance report is produced.
     """
     hw = hw or HardwareConfig()
     first = net.layers[0]
@@ -182,10 +173,8 @@ def run_network(
             sim = accel.simulate_layer(current, kern, layer, schedule, hw, trace=trace)
             out_t, stats = sim.tensor, sim.stats
         else:
-            c, oh, ow = layer.out_shape
-            out_t = netmodel.synthetic_tensor(
-                c, oh, ow, synthetic_sparsity, rng, QFormat(layer.frac_out)
-            )
+            # the stats model reads only which pixels are non-zero
+            out_t = netmodel.synthetic_mask(*layer.out_shape, synthetic_sparsity, rng)
             stats = accel.simulate_layer_stats(
                 current, out_t, layer, schedule, hw, trace=trace
             )

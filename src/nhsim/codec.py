@@ -178,7 +178,12 @@ def row_segments(w: int, c: int) -> int:
 
 
 def _stream_mask(values: np.ndarray) -> np.ndarray:
-    """(h, w, c) bool mask of the non-zero pixels of a (c, h, w) array."""
+    """(h, w, c) bool mask of the non-zero pixels of a (c, h, w) array.
+
+    A bool array is its own mask and comes back as a view.
+    """
+    if values.dtype == bool:
+        return values.transpose(1, 2, 0)
     c, h, w = values.shape
     mask = np.empty((h, w, c), dtype=bool)
     np.not_equal(values.transpose(1, 2, 0), 0, out=mask)

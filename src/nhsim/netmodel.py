@@ -45,8 +45,10 @@ MAX_KERNEL = 7
 MAX_PAD = 3
 MAX_FRAC = 15  # fractional bits of a 16-bit value, as QFormat admits
 
-# pixels per block of synthetic_tensor's mask and sign draws; must be even
+# pixels per block of the synthetic stand-ins' mask and sign draws; must be even
 _CHUNK = 65536
+# non-zero stand-in values are uniform in +-[1, _VALUE_HIGH)
+_VALUE_HIGH = 1 << 12
 
 
 class ValidationError(ValueError):
@@ -93,6 +95,13 @@ def check_frac_bits(path: str, frac: int) -> int:
 # tensors
 
 
+def _check_shape(channels: int, height: int, width: int) -> None:
+    if not 1 <= channels <= MAX_CHANNELS:
+        raise ValidationError(f"channels {channels} outside [1, {MAX_CHANNELS}]")
+    if not (1 <= height <= MAX_DIM and 1 <= width <= MAX_DIM):
+        raise ValidationError(f"dims {height}x{width} outside [1, {MAX_DIM}]")
+
+
 @dataclass
 class FeatureMapTensor:
     values: np.ndarray  # int16, shape (channels, height, width)
@@ -102,11 +111,7 @@ class FeatureMapTensor:
         v = self.values
         if v.ndim != 3:
             raise ValidationError(f"tensor must be 3-D, got shape {v.shape}")
-        c, h, w = v.shape
-        if not 1 <= c <= MAX_CHANNELS:
-            raise ValidationError(f"channels {c} outside [1, {MAX_CHANNELS}]")
-        if not (1 <= h <= MAX_DIM and 1 <= w <= MAX_DIM):
-            raise ValidationError(f"dims {h}x{w} outside [1, {MAX_DIM}]")
+        _check_shape(*v.shape)
         self.values = _cast_checked(v, np.int16, "tensor values")
 
     @property
@@ -144,31 +149,86 @@ def _markov_nonzero(
     """Non-zero mask of a two-state Markov chain over the flat stream.
 
     Mean zero-run length ``burst_mean``, stationary zero probability
-    ``target_sparsity``.  Step j moves from zero to ``u[j] >= p_exit_zero``
-    and from non-zero to ``u[j] < p_enter_zero``.  Where both give the same
-    state the step resets to it, where only the move from non-zero enters
-    zero it toggles, and otherwise it holds; so each state is the last reset
-    (or the initial draw) XOR the parity of the toggles since then.
+    ``target_sparsity``.  Step j draws ``u[j]`` and moves from zero to
+    ``u[j] >= p_exit_zero`` and from non-zero to ``u[j] < p_enter_zero``.
+    Where both give the same state the step resets to it, where only the
+    move from non-zero enters zero it toggles, and otherwise it holds; so
+    each state is the last reset (or the incoming state) XOR the parity of
+    the toggles since then.
+
+    The n uniforms come first and the initial state after them, as in the
+    per-pixel chain.  So each ``_CHUNK`` of uniforms is scanned as if it
+    began in "non-zero", which leaves every state after its first reset
+    right; once the initial state is drawn, a second pass walks the chunks
+    and flips the states before that reset wherever a chunk in fact began
+    in "zero".
     """
     p_exit_zero = min(1.0, 1.0 / burst_mean)
     s = target_sparsity
     p_enter_zero = (
         1.0 if s >= 1.0 else min(1.0, p_exit_zero * s / max(1e-12, 1.0 - s))
     )
-    u = rng.random(n)
-    first = rng.random() < s
-    in_zero = np.empty(n, dtype=bool)
-    in_zero[:1] = first
-    a = u[:-1] >= p_exit_zero
-    b = u[:-1] < p_enter_zero
-    reset = a == b
-    toggles = np.cumsum(b & ~a)
-    last = np.maximum.accumulate(np.where(reset, np.arange(n - 1), -1))
-    has_reset = last >= 0
-    base = np.where(has_reset, a[last], first)
-    since = toggles - np.where(has_reset, toggles[last], 0)
-    in_zero[1:] = base ^ (since & 1).astype(bool)
-    return ~in_zero
+    nonzero = np.empty(n, dtype=bool)
+    buf = np.empty(min(n, _CHUNK))
+    steps = np.arange(len(buf), dtype=np.int32)
+    # After a reset at step r the state is a[r], so after step t >= r it is
+    # a[r] ^ odd[r] ^ odd[t] (odd: toggle parity through a step).  at_reset
+    # holds a ^ odd, read at the last reset; its extra last entry stays
+    # False, for index -1 when no reset has come yet.
+    at_reset = np.zeros(len(buf) + 1, dtype=bool)
+    # per chunk: start, states before its first reset, the state it hands on
+    # if it began in "non-zero", and whether that depends on how it began
+    chunks = []
+    for i in range(0, n, _CHUNK):
+        u = buf[: min(_CHUNK, n - i)]
+        size = len(u)
+        rng.random(out=u)
+        a = u >= p_exit_zero
+        b = u < p_enter_zero
+        reset = a == b
+        # a uint8 count wraps at 256, which keeps its parity
+        odd = (np.cumsum(b & ~a, dtype=np.uint8) & 1).view(bool)
+        np.logical_xor(a, odd, out=at_reset[:size])
+        last = np.where(reset, steps[:size], -1)
+        np.maximum.accumulate(last, out=last)
+        after = odd ^ at_reset[last]  # in_zero after each step
+        nonzero[i] = True
+        np.logical_not(after[:-1], out=nonzero[i + 1 : i + size])
+        carried = not reset.any()
+        prefix = size if carried else int(np.argmax(reset)) + 1
+        chunks.append((i, prefix, bool(after[-1]), carried))
+    in_zero = rng.random() < s
+    for i, prefix, out_zero, carried in chunks:
+        if in_zero:
+            np.logical_not(nonzero[i : i + prefix], out=nonzero[i : i + prefix])
+        in_zero = out_zero ^ (in_zero and carried)
+    return nonzero
+
+
+def _nonzero_mask(
+    channels: int,
+    height: int,
+    width: int,
+    target_sparsity: float,
+    rng: np.random.Generator,
+    burst_mean: Optional[float],
+) -> np.ndarray:
+    """Flat stream-order non-zero mask of a stand-in, checked before it draws."""
+    if not 0.0 <= target_sparsity <= 1.0:
+        raise ValidationError("sparsity must be in [0, 1]")
+    _check_shape(channels, height, width)
+    n = channels * height * width
+    if burst_mean is not None:
+        return _markov_nonzero(n, target_sparsity, burst_mean, rng)
+    # random() turns one 64-bit word into one double, in order, so filling
+    # consecutive chunks takes exactly the words of random(n)
+    nonzero = np.empty(n, dtype=bool)
+    buf = np.empty(min(n, _CHUNK))
+    for i in range(0, n, _CHUNK):
+        u = buf[: min(_CHUNK, n - i)]
+        rng.random(out=u)
+        np.greater_equal(u, target_sparsity, out=nonzero[i : i + len(u)])
+    return nonzero
 
 
 def synthetic_tensor(
@@ -189,33 +249,20 @@ def synthetic_tensor(
     order, so ``values`` is a (channel, row, column) view of a stream-order
     buffer, not a C-contiguous array.
 
-    The i.i.d. mask and the signs are drawn ``_CHUNK`` pixels at a time,
-    so the call holds little beyond the two-byte result and a one-byte
-    mask: 3.2 bytes a pixel at the peak on a 64x224x224 map, where
-    whole-tensor draws peaked at 9.0.  The chunks
-    take the same words from ``rng`` as one whole draw each (see the
-    comments below), so a seed gives the same tensor, and leaves ``rng``
-    in the same state, as drawing the uniforms, values and signs whole.
+    The mask and the signs are drawn ``_CHUNK`` pixels at a time, so the
+    call holds little beyond the two-byte result and a one-byte mask: 3.1
+    bytes a pixel at the peak on a 64x224x224 map, with or without
+    ``burst_mean``, where whole-tensor draws peaked at 9.0 and 47.  The
+    chunks take the same words from ``rng`` as one whole draw each (see the
+    comments below), so a seed gives the same tensor, and leaves ``rng`` in
+    the same state, as drawing the uniforms, values and signs whole.
     """
-    n = channels * height * width
-    if not 0.0 <= target_sparsity <= 1.0:
-        raise ValidationError("sparsity must be in [0, 1]")
-    if burst_mean is None:
-        # random() turns one 64-bit word into one double, in order, so
-        # filling consecutive chunks takes exactly the words of random(n)
-        nonzero = np.empty(n, dtype=bool)
-        buf = np.empty(min(n, _CHUNK))
-        for i in range(0, n, _CHUNK):
-            u = buf[: min(_CHUNK, n - i)]
-            rng.random(out=u)
-            np.greater_equal(u, target_sparsity, out=nonzero[i : i + len(u)])
-        del buf  # free it before the values exist
-    else:
-        nonzero = _markov_nonzero(n, target_sparsity, burst_mean, rng)
+    nonzero = _nonzero_mask(channels, height, width, target_sparsity, rng, burst_mean)
+    n = len(nonzero)
     # Kept whole: this draw rejects 16 of every 65536 16-bit values, so the
     # words it takes depend on the data, and chunking it could stop a chunk
     # on half a 32-bit word and shift every later draw.
-    flat = rng.integers(1, 1 << 12, size=n, dtype=np.int16)
+    flat = rng.integers(1, _VALUE_HIGH, size=n, dtype=np.int16)
     # Each sign is one 16-bit half of a 32-bit word and the draw over
     # [0, 2) never rejects.  A call keeps an unused high half only until it
     # returns, so an even-length chunk takes exactly len/2 whole words and
@@ -231,6 +278,60 @@ def synthetic_tensor(
         part *= nonzero[i : i + len(part)]
     values = flat.reshape(height, width, channels).transpose(2, 0, 1)
     return FeatureMapTensor(values, qformat)
+
+
+class NonzeroMask(np.ndarray):
+    """A (channels, height, width) bool array: which pixels are non-zero.
+
+    ``values`` is the same array as a plain ndarray, so code that reads the
+    non-zero pixels of a :class:`FeatureMapTensor` from its ``values`` reads
+    a mask the same way.
+    """
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.view(np.ndarray)
+
+
+def synthetic_mask(
+    channels: int,
+    height: int,
+    width: int,
+    target_sparsity: float,
+    rng: np.random.Generator,
+    burst_mean: Optional[float] = None,
+) -> NonzeroMask:
+    """``synthetic_tensor(...).values != 0``, without drawing the values.
+
+    For the same arguments and generator state this returns the non-zero
+    pixels of the tensor :func:`synthetic_tensor` would draw and leaves
+    ``rng`` in the same state, but it takes the words of the value and sign
+    draws without forming them, in ``_CHUNK // 2``-word blocks.  Both draws
+    read 32-bit words through the generator's ``next_uint32``, one 16-bit
+    half per value, low half first, and neither keeps a half across calls;
+    a full-range uint32 draw reads the same words, one per value.
+    """
+    nonzero = _nonzero_mask(channels, height, width, target_sparsity, rng, burst_mean)
+    n = len(nonzero)
+    # The values: numpy's Lemire draw over the span s = _VALUE_HIGH - 1
+    # multiplies a half x by s and rejects it, drawing the next half, when
+    # the low 16 bits of the product fall below 2**16 mod s (16 for 4095).
+    # A block of at most ceil(need / 2) words holds at most need + 1
+    # halves; when it holds need accepted ones, the last of them is in its
+    # last word, so the loop ends on the word where the value draw ends.
+    span = np.uint16(_VALUE_HIGH - 1)
+    reject_below = (1 << 16) % (_VALUE_HIGH - 1)
+    accepted = 0
+    while accepted < n:
+        words = min(-(-(n - accepted) // 2), _CHUNK // 2)
+        halves = rng.integers(0, 1 << 32, size=words, dtype=np.uint32).view(np.uint16)
+        halves *= span  # wraps, leaving the low 16 bits of the product
+        accepted += 2 * words - int(np.count_nonzero(halves < reject_below))
+    # the signs: ceil(len / 2) words per chunk, so ceil(n / 2) in all
+    words = -(-n // 2)
+    for i in range(0, words, _CHUNK // 2):
+        rng.integers(0, 1 << 32, size=min(_CHUNK // 2, words - i), dtype=np.uint32)
+    return nonzero.reshape(height, width, channels).transpose(2, 0, 1).view(NonzeroMask)
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,82 @@ class TestCycleModel:
         assert stats2.as_dict() == sim.stats.as_dict()
 
 
+class TestStatsInputs:
+    """``simulate_layer_stats`` on tensors and on non-zero masks."""
+
+    LAYER = LayerDescriptor(n_in=8, n_out=16, h=10, w=10, k=3)
+
+    def test_mask_gives_same_stats_as_tensor(self, rng):
+        for _ in range(20):
+            layer, t, kern = random_case(rng)
+            out = simulate_layer(t, kern, layer).tensor
+            want = simulate_layer_stats(t, out, layer)
+            for x, y in [(t.values != 0, out), (t, out.values != 0),
+                         (t.values != 0, out.values != 0)]:
+                assert simulate_layer_stats(x, y, layer).as_dict() == want.as_dict()
+
+    @pytest.mark.parametrize("shape", [(8, 10, 14), (4, 10, 10), (16, 10, 10), (8, 12, 10)])
+    def test_input_shape_checked(self, rng, shape):
+        # a wider input used to give a wrong cycles_total without an error;
+        # the others raised numpy errors from inside the model
+        layer = self.LAYER
+        out = random_tensor(rng, *layer.out_shape)
+        t = random_tensor(rng, *shape)
+        message = rf"input \({shape[0]}, {shape[1]}, {shape[2]}\) does not match layer \(8, 10, 10\)"
+        with pytest.raises(ValidationError, match=message):
+            simulate_layer(t, random_kernels(rng, 16, 8, 3), layer)
+        for x in (t, t.values != 0):
+            with pytest.raises(ValidationError, match=message):
+                simulate_layer_stats(x, out, layer)
+
+    def test_output_shape_checked_for_masks(self, rng):
+        layer = self.LAYER
+        t = random_tensor(rng, 8, 10, 10)
+        with pytest.raises(ValidationError, match="stand-in output"):
+            simulate_layer_stats(t, np.ones((16, 8, 9), dtype=bool), layer)
+
+    def test_non_bool_array_rejected(self, rng):
+        layer = self.LAYER
+        t = random_tensor(rng, 8, 10, 10)
+        out = random_tensor(rng, *layer.out_shape)
+        with pytest.raises(ValidationError, match="bool mask"):
+            simulate_layer_stats(t.values, out, layer)
+        with pytest.raises(ValidationError, match="bool mask"):
+            simulate_layer_stats(t, out.values, layer)
+
+
+class TestTotalStats:
+    def test_sums_every_counter(self):
+        a = LayerStats(1, 2, 3, 4, 10, 5, 6, 7, 8, 1, macs=64)
+        b = LayerStats(10, 20, 30, 40, 100, 50, 60, 70, 80, 2, macs=64, input_reload=True)
+        t = accel.total_stats([a, b])
+        assert t == LayerStats(11, 22, 33, 44, 110, 55, 66, 77, 88, 3, macs=64,
+                               input_reload=True)
+        assert accel.total_stats([a]) == a
+
+    def test_mixed_or_missing_mac_counts_rejected(self):
+        with pytest.raises(ValidationError):
+            accel.total_stats([LayerStats(macs=64), LayerStats(macs=128)])
+        with pytest.raises(ValidationError):
+            accel.total_stats([])
+
+    def test_report_totals_come_from_total_stats(self, rng):
+        net = presets.network("face_detector")
+        first = net.layers[0]
+        x = random_tensor(rng, first.n_in, first.h, first.w)
+        report = run_network(net, x, synthetic_sparsity=0.7, seed=3)[0]
+        stats = [LayerStats(**{f: e[f] for f in accel._SUMMED_FIELDS}) for e in report.layers]
+        total = accel.total_stats(stats)
+        t = report.totals
+        assert t["cycles_total"] == total.cycles_total
+        assert (t["bytes_in"], t["bytes_out"], t["bytes_kernels"]) == (
+            total.bytes_in, total.bytes_out, total.bytes_kernels)
+        assert t["dram_bytes_per_frame"] == total.total_bytes
+        assert t["dram_energy_j_per_frame"] == estimate_dram_energy(total)
+        assert t["utilization"] == total.utilization
+        assert t["utilization_excl_load"] == total.utilization_excl_load
+
+
 class TestTrace:
     def test_trace_caps_and_length(self, rng):
         layer = LayerDescriptor(n_in=2, n_out=8, h=8, w=8, k=3, pad=0)

@@ -160,6 +160,16 @@ class TestRunNetwork:
         blob = json.dumps(report.as_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
+    def test_synthetic_mode_draws_no_tensors(self, monkeypatch):
+        # stand-ins are masks; the report is the one recorded from tensors
+        def no_tensors(*args, **kwargs):
+            raise AssertionError("synthetic_tensor called in synthetic mode")
+
+        monkeypatch.setattr(netmodel, "synthetic_tensor", no_tensors)
+        self.test_synthetic_report_matches_recorded_output(
+            "roshambo", "a94bbc071992d1f5aeea20eea1a180f60f865d79d36d67703a4005cd50f479e4"
+        )
+
     def test_synthetic_trace_covers_every_cycle(self, tmp_path, rng):
         net = build_tiny_net(tmp_path, rng)
         t = random_tensor(rng, 1, 8, 8, sparsity=0.3)

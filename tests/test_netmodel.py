@@ -98,7 +98,8 @@ class TestSparsity:
 
 
 def assert_same_as_reference(c, h, w, sp, burst_mean, seed):
-    """Same values, dtype and generator state as the per-pixel generator."""
+    """Same values, dtype and generator state as the per-pixel generator,
+    and the same non-zero pixels and state from ``synthetic_mask``."""
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = reference_synthetic_tensor(c, h, w, sp, want_rng, QFormat(6), burst_mean)
     got = netmodel.synthetic_tensor(c, h, w, sp, got_rng, QFormat(6), burst_mean)
@@ -106,8 +107,15 @@ def assert_same_as_reference(c, h, w, sp, burst_mean, seed):
     assert got.values.shape == (c, h, w)
     assert np.array_equal(got.values, want.values)
     assert got.qformat == want.qformat
+    mask_rng = np.random.default_rng(seed)
+    mask = netmodel.synthetic_mask(c, h, w, sp, mask_rng, burst_mean)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, want.values != 0)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert got_rng.random() == want_rng.random()
+    assert mask_rng.bit_generator.state == want_rng.bit_generator.state
+    want_next = want_rng.random()
+    assert got_rng.random() == want_next
+    assert mask_rng.random() == want_next
 
 
 class TestSyntheticMatchesReference:
@@ -179,6 +187,92 @@ class TestSyntheticMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 4 * c * h * w
+
+
+    @pytest.mark.parametrize("generate", ["tensor", "mask"])
+    def test_markov_peak_memory_below_16_mib(self, generate):
+        # the whole-stream Markov scan peaked at 143.9 MiB on this map
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            if generate == "tensor":
+                netmodel.synthetic_tensor(64, 224, 224, 0.82, rng, burst_mean=16.0)
+            else:
+                netmodel.synthetic_mask(64, 224, 224, 0.82, rng, burst_mean=16.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+
+def same_state(a, b) -> bool:
+    """Bit-generator states equal, including MT19937's key array."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+BIT_GENERATORS = [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+    np.random.SFC64,
+]
+
+
+class TestSyntheticMask:
+    """``synthetic_mask`` against ``synthetic_tensor(...).values != 0``."""
+
+    @staticmethod
+    def assert_mask_matches_tensor(bit_generator, shape, sp, burst_mean, seed=1):
+        tensor_rng = np.random.Generator(bit_generator(seed))
+        mask_rng = np.random.Generator(bit_generator(seed))
+        t = netmodel.synthetic_tensor(*shape, sp, tensor_rng, burst_mean=burst_mean)
+        mask = netmodel.synthetic_mask(*shape, sp, mask_rng, burst_mean=burst_mean)
+        assert mask.dtype == bool and mask.shape == shape
+        assert np.array_equal(mask, t.values != 0)
+        assert same_state(mask_rng.bit_generator.state, tensor_rng.bit_generator.state)
+        assert mask_rng.random() == tensor_rng.random()
+
+    @pytest.mark.parametrize("burst_mean", [None, 16.0])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_every_bit_generator(self, bit_generator, burst_mean):
+        assert netmodel._CHUNK == 1 << 16  # the counts sit on its boundaries
+        # 7 pixels, then 2**16 - 1, 2**16 and 2**16 + 2: below, at and above
+        # the chunk (2**16 + 1 is prime)
+        for shape in [(7, 1, 1), (771, 85, 1), (1024, 64, 1), (198, 331, 1)]:
+            for seed, sp in enumerate([0.0, 1.0, 0.82]):
+                self.assert_mask_matches_tensor(bit_generator, shape, sp, burst_mean, seed)
+        self.assert_mask_matches_tensor(bit_generator, (5, 33, 17), 0.5, burst_mean)
+
+    @pytest.mark.parametrize("chunk", [2, 6, 64])
+    def test_value_words_over_many_blocks(self, monkeypatch, chunk):
+        # blocks of one, three and 32 words; the value draw rejects one half
+        # in 4096, so about 15 of the 60,939 values are drawn again
+        monkeypatch.setattr(netmodel, "_CHUNK", chunk)
+        for shape in [(1, 1, 1), (2, 1, 1), (3, 1, 1), (999, 61, 1)]:
+            for bit_generator in (np.random.PCG64, np.random.MT19937):
+                self.assert_mask_matches_tensor(bit_generator, shape, 0.3, None, chunk)
+
+    def test_values_reads_as_plain_array(self, rng):
+        mask = netmodel.synthetic_mask(3, 4, 5, 0.5, rng)
+        assert isinstance(mask, netmodel.NonzeroMask)
+        assert type(mask.values) is np.ndarray
+        assert np.array_equal(mask.values, mask)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((0, 4, 4), "channels"), ((1025, 1, 1), "channels"), ((1, 513, 1), "dims"),
+         ((1, 1, 0), "dims")],
+    )
+    def test_rejects_shape_before_drawing(self, shape, message):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=message):
+            netmodel.synthetic_mask(*shape, 0.5, rng)
+        assert rng.bit_generator.state == before
+
+    def test_rejects_bad_sparsity(self, rng):
+        with pytest.raises(ValidationError, match="sparsity"):
+            netmodel.synthetic_mask(1, 4, 4, -0.1, rng)
 
 
 class TestTensorLimits:

@@ -1,0 +1,36 @@
+"""Every preset's synthetic report against the benchmark's own checks.
+
+``perfbench/checks.py`` writes the report rules from the README without
+calling nhsim; it is loaded from there, not copied, so the two suites
+share one source.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from conftest import random_tensor
+from nhsim import presets
+from nhsim.cli import run_network
+
+_CHECKS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "checks.py"
+)
+_spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS)
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+
+@pytest.mark.parametrize("sparsity", [0.5, 0.82, 0.95])
+@pytest.mark.parametrize("name", presets.preset_names())
+def test_preset_report_passes_benchmark_checks(name, sparsity):
+    net = presets.network(name)
+    first = net.layers[0]
+    x = random_tensor(np.random.default_rng(1), first.n_in, first.h, first.w)
+    report, _ = run_network(net, x, synthetic_sparsity=sparsity, seed=2)
+    doc = report.as_dict()
+    where = f"{name}@{sparsity}"
+    assert checks.check_report_totals(where, doc) == []
+    assert checks.check_layer_stats(where, doc["layers"]) == []
