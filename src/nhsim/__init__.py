@@ -12,7 +12,7 @@ from .accel import (
     total_stats,
 )
 from .codec import CompressedStream, cis_bits, decode, encode, threshold_sparsity
-from .fxp import QFormat, mac, quantize, relu16, requantize
+from .fxp import QFormat
 from .netmodel import (
     FeatureMapTensor,
     KernelSet,

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import IO, Optional, Sequence, Union
 
@@ -61,18 +61,27 @@ from .netmodel import (
 )
 
 
+OUTPUT_PIXELS_PER_CYCLE = 2  # pixels out per cycle: one 32-bit word of two 16-bit pixels
+
+
 @dataclass(frozen=True)
 class HardwareConfig:
+    """``macs`` sets passes, cluster sizes, utilization and peak;
+    ``controllers`` only caps ``PassPlan.active_controllers``;
+    ``pixel_mem_bytes`` decides input reload; ``kernel_bank_values`` groups
+    banks; ``clock_hz`` turns cycles into time."""
+
     macs: int = 128
     controllers: int = 8
-    bus_bits: int = 32
     pixel_mem_bytes: int = 512 * 1024
     kernel_bank_values: int = 4096
-    max_kernel: int = 7
     clock_hz: float = 500e6
-    output_pixels_per_cycle: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{f.name} must be positive and finite, got {value}")
         if self.macs % self.controllers:
             raise ValidationError("controller count must divide MAC count")
 
@@ -94,10 +103,6 @@ class PassPlan:
     bank_group: int  # banks jointly holding one channel's kernels
     active_controllers: int
     kernel_values: int  # values loaded for this pass
-
-    @property
-    def macs_used(self) -> int:
-        return self.chan_count * self.cluster_size
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,6 @@ def plan_layer(layer: LayerDescriptor, hw: HardwareConfig) -> LayerSchedule:
     channel's kernels exceed a bank, banks are grouped and the channels per
     pass shrink accordingly.
     """
-    if layer.k > hw.max_kernel:
-        raise ValidationError(f"kernel {layer.k} exceeds hardware max {hw.max_kernel}")
     footprint = layer.n_in * layer.k * layer.k
     group = -(-footprint // hw.kernel_bank_values)
     max_chan = hw.macs // group
@@ -182,22 +185,17 @@ class LayerStats:
     input_reload: bool = False
 
     @property
-    def mac_busy_cycles(self) -> int:
-        # one multiplication keeps one MAC busy for one cycle
-        return self.mult_ops
-
-    @property
     def utilization(self) -> float:
         if self.cycles_total == 0:
             return 0.0
-        return self.mac_busy_cycles / (self.macs * self.cycles_total)
+        return self.mult_ops / (self.macs * self.cycles_total)
 
     @property
     def utilization_excl_load(self) -> float:
         cycles = self.cycles_total - self.cycles_kernel_load
         if cycles <= 0:
             return 0.0
-        return self.mac_busy_cycles / (self.macs * cycles)
+        return self.mult_ops / (self.macs * cycles)
 
     @property
     def total_bytes(self) -> int:
@@ -210,7 +208,8 @@ class LayerStats:
             "cycles_compute": self.cycles_compute,
             "cycles_output_drain": self.cycles_output_drain,
             "cycles_total": self.cycles_total,
-            "mac_busy_cycles": self.mac_busy_cycles,
+            # one multiplication keeps one MAC busy for one cycle
+            "mac_busy_cycles": self.mult_ops,
             "mult_ops": self.mult_ops,
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
@@ -328,16 +327,19 @@ def _layer_stats(
         compute = max(int(loads.reshape(-1, v).sum(axis=0).max()), idp_bound)
 
         out_slice = out_values[pas.chan_start : pas.chan_start + c_p]
+        # px_out: the pixels the drain moves, the non-zero ones if encoded
         if layer.encode:
             seg_nnz = np.bitwise_count(codec.sparsity_maps(out_slice))
-            nnz_out = int(seg_nnz.sum(dtype=np.int64))
-            drain = seg_nnz.size + int((seg_nnz >> 1).sum(dtype=np.int64))
-            out_words = -(-(seg_nnz.size + nnz_out) // 2)
+            px_out = int(seg_nnz.sum(dtype=np.int64))
+            # a segment's map and first non-zero pixel take one cycle
+            drain = seg_nnz.size + int(
+                (seg_nnz // OUTPUT_PIXELS_PER_CYCLE).sum(dtype=np.int64)
+            )
+            out_words = -(-(seg_nnz.size + px_out) // 2)
         else:
-            out_px = out_slice.size
-            nnz_out = int(np.count_nonzero(out_slice))
-            drain = -(-out_px // hw.output_pixels_per_cycle)
-            out_words = -(-out_px // 2)
+            px_out = out_slice.size
+            drain = -(-px_out // OUTPUT_PIXELS_PER_CYCLE)
+            out_words = -(-px_out // 2)
         if v > 1:
             drain += (math.ceil(math.log2(v)) + 1) * n_stripes * layer.conv_w
 
@@ -362,7 +364,7 @@ def _layer_stats(
             input_reload=reload,
         ))
         if tracer is not None:
-            tracer.emit_pass(load_p, prefill_p, overlap, visits_sum, nnz_out, k)
+            tracer.emit_pass(load_p, prefill_p, overlap, visits_sum, px_out, k)
     return total_stats(passes)
 
 
@@ -406,8 +408,8 @@ def _forward_pipeline(
     # Readout in float64 is exact too.  Adding an int32 bias keeps the sum an
     # integer below 2**47; the clamp leaves it in the int32 range; scaling
     # by a power of two in [2**-30, 2**15] only moves the exponent; np.rint
-    # rounds half to even, the rule of fxp.requantize; and the int16 clip
-    # (from 0 under ReLU) leaves an integer that casts exactly.
+    # rounds half to even, the rule of fxp.requantize_array; and the int16
+    # clip (from 0 under ReLU) leaves an integer that casts exactly.
     # Each of these steps is monotone non-decreasing within a channel, so
     # the max over a 2x2 pooling window commutes with all of them: pooling
     # the raw accumulators first reads out a quarter of the pixels.
@@ -481,7 +483,8 @@ class _TraceWriter:
 
     The line stream is a cap-faithful reconstruction of the phase model,
     not an RTL timing record: per cycle at most one input word, k_h+1
-    decoded pixels and two drained non-zero pixels.
+    decoded pixels and ``OUTPUT_PIXELS_PER_CYCLE`` drained pixels (the
+    non-zero ones of an encoded layer, all of a raw one).
     """
 
     def __init__(self, f: IO[str]):
@@ -503,7 +506,7 @@ class _TraceWriter:
         in_left, out_left = pixels_in, pixels_out
         for _ in range(overlap):
             pin = min(k + 1, in_left)
-            pout = min(2, out_left)
+            pout = min(OUTPUT_PIXELS_PER_CYCLE, out_left)
             in_left -= pin
             out_left -= pout
             self._line("overlap", pin, pout)

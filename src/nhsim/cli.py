@@ -21,7 +21,11 @@ traffic and energy at 21 pJ/bit).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import glob
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import IO, Optional
@@ -50,14 +54,7 @@ class RunReport:
     totals: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "clock_hz": self.clock_hz,
-            "macs": self.macs,
-            "synthetic_sparsity": self.synthetic_sparsity,
-            "layers": self.layers,
-            "totals": self.totals,
-        }
+        return dataclasses.asdict(self)
 
 
 def _finish_report(
@@ -91,23 +88,16 @@ def _finish_report(
     return report
 
 
+# layer fields a report entry repeats, in report order
+_ENTRY_KEYS = ("name", "n_in", "n_out", "k", "h", "w", "pad", "pool", "encode")
+
+
 def _layer_entry(layer, schedule, stats: LayerStats) -> dict:
-    entry = {
-        "name": layer.name,
-        "n_in": layer.n_in,
-        "n_out": layer.n_out,
-        "k": layer.k,
-        "h": layer.h,
-        "w": layer.w,
-        "pad": layer.pad,
-        "pool": layer.pool,
-        "encode": layer.encode,
+    return {kk: getattr(layer, kk) for kk in _ENTRY_KEYS} | {
         "cluster_size": schedule.passes[0].cluster_size,
         "input_reload": stats.input_reload,
         "dense_macs": layer.dense_macs,
-    }
-    entry.update(stats.as_dict())
-    return entry
+    } | stats.as_dict()
 
 
 def _load_kernels(path: str, frac_w: int, where: str) -> netmodel.KernelSet:
@@ -240,16 +230,25 @@ def print_report(report: RunReport, file: Optional[IO[str]] = None) -> None:
 # codec comparison
 
 
+_MAX_SWEEP_POINTS = 1001  # sparsity points one sweep may ask for
+
+
 def parse_sweep(spec: str) -> list[float]:
+    """Sparsities ``lo, lo + step, ...`` up to ``hi``, from ``lo:hi:step``."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
-        raise ValueError(f"bad sweep {spec!r}, expected lo:hi:step") from None
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad sweep {spec!r}")
+        lo = hi = step = math.nan
+    end = hi + 1e-9  # admits a hi that the summed steps overshoot
+    # NaN fails every comparison
+    if not (0.0 <= lo <= hi <= 1.0 and step > 0 and (end - lo) / step < _MAX_SWEEP_POINTS):
+        raise netmodel.ValidationError(
+            f"bad sweep {spec!r}, expected lo:hi:step with 0 <= lo <= hi <= 1 "
+            f"and at most {_MAX_SWEEP_POINTS} points"
+        )
     points = []
     x = lo
-    while x <= hi + 1e-9:
+    while x <= end:
         points.append(round(x, 6))
         x += step
     return points
@@ -282,9 +281,10 @@ def compare_codecs_cmd(
                 for _ in range(trials)
             ]
             groups.append((f"{sp:.4f}", tensors))
+    # sized before the header, so an empty corpus prints nothing
+    sized = [(label, codec.compare_codecs(tensors, precision)) for label, tensors in groups]
     print("sparsity\traw_bits\tsm_bits\trl_bits\tcis_bits\tsm_ratio\trl_ratio", file=file)
-    for label, tensors in groups:
-        reports = codec.compare_codecs(tensors, precision)
+    for label, reports in sized:
         raw = float(np.mean([r.raw_bits for r in reports]))
         sm = float(np.mean([r.sm_bits for r in reports]))
         rl = float(np.mean([r.rl_bits for r in reports]))
@@ -449,11 +449,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Bounds argparse's types leave out; HardwareConfig checks --clock-mhz."""
+    for name, low in (("seed", 0), ("trials", 0), ("precision", 1)):
+        if getattr(args, name, low) < low:
+            raise netmodel.ValidationError(
+                f"--{name} must be at least {low}, got {getattr(args, name)}"
+            )
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one subcommand; an nhsim error or a file that cannot be opened
-    becomes one stderr line and exit 2."""
+    """Run one subcommand; an nhsim error, a flag out of range or a file
+    that cannot be opened becomes one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return _dispatch(args)
     except (
         netmodel.ValidationError, netmodel.FileFormatError, codec.StreamError, OSError,
@@ -493,9 +503,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "compare-codecs":
         corpus = None
         if args.corpus:
-            import glob
-            import os
-
             paths = sorted(glob.glob(os.path.join(args.corpus, "*.nht")))
             corpus = [netmodel.load_tensor(pth) for pth in paths]
         compare_codecs_cmd(

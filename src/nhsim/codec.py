@@ -57,7 +57,9 @@ from .netmodel import (
     MAX_FRAC,
     FeatureMapTensor,
     FileFormatError,
+    ValidationError,
     check_frac_bits,
+    sparsity,
 )
 
 SEGMENT_BITS = 16
@@ -105,10 +107,6 @@ class CompressedStream:
         """Encoded size in bits, excluding container padding."""
         return SEGMENT_BITS * self.field_count
 
-    @property
-    def byte_size(self) -> int:
-        return 4 * self.word_count
-
     def fields(self) -> np.ndarray:
         """Read-only uint16 view of the fields, trailing pad stripped."""
         out = np.ascontiguousarray(self.words, dtype="<u4").view("<u2")
@@ -127,10 +125,6 @@ class RawPixelStream:
     height: int
     width: int
     frac_bits: int
-
-    @property
-    def byte_size(self) -> int:
-        return 4 * len(self.words)
 
 
 @dataclass
@@ -397,26 +391,12 @@ def rl_bits(t: FeatureMapTensor) -> int:
     return (RL_RUN_BITS + RL_VALUE_BITS) * pairs
 
 
-def rl_decode(pairs: list[tuple[int, int]], pixel_count: int) -> np.ndarray:
-    """Expand (run, value) pairs back to a flat pixel array of known length."""
-    out = np.zeros(pixel_count, dtype=np.int16)
-    pos = 0
-    for run, v in pairs:
-        pos += run
-        if pos < pixel_count:
-            out[pos] = v
-        pos += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # comparison
 
 
 def report_for(t: FeatureMapTensor, precision: int = 16) -> CompressionReport:
-    from .netmodel import sparsity as _sparsity
-
-    sp = _sparsity(t)
+    sp = sparsity(t)
     return CompressionReport(
         raw_bits=t.pixel_count * precision,
         sm_bits=SEGMENT_BITS * field_count_for(t),
@@ -430,7 +410,7 @@ def compare_codecs(corpus, precision: int = 16) -> list[CompressionReport]:
     """Per-tensor raw/SM/RL/CIS sizes for a non-empty corpus."""
     reports = [report_for(t, precision) for t in corpus]
     if not reports:
-        raise ValueError("corpus is empty")
+        raise ValidationError("corpus is empty")
     return reports
 
 

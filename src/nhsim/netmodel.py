@@ -494,6 +494,8 @@ _LAYER_KEYS = (
     "relu", "pool", "encode", "frac_in", "frac_w", "frac_out",
 )
 _LAYER_FLAGS = ("relu", "pool", "encode")
+# n_in and n_out are required; the others default as DenseLayerDescriptor does
+_FC_KEYS = ("n_in", "n_out", "relu", "frac_in", "frac_w", "frac_out")
 
 
 def _object_list(path: str, key: str, entries, what: str) -> list[dict]:
@@ -578,39 +580,23 @@ def load_network(path: str) -> NetworkDescriptor:
         if missing:
             raise FileFormatError(f"{path}: fc {idx} missing keys {missing}")
         where = f"fc {idx}"
-        fc.append(
-            DenseLayerDescriptor(
-                n_in=_int_field(path, where, entry, "n_in"),
-                n_out=_int_field(path, where, entry, "n_out"),
-                relu=_flag_field(path, where, entry, "relu", True),
-                frac_in=_int_field(path, where, entry, "frac_in", 8),
-                frac_w=_int_field(path, where, entry, "frac_w", 8),
-                frac_out=_int_field(path, where, entry, "frac_out", 8),
-                weights_path=resolve(where, entry),
-            )
-        )
+        given = {
+            kk: (_flag_field if kk in _LAYER_FLAGS else _int_field)(path, where, entry, kk)
+            for kk in _FC_KEYS if kk in entry
+        }
+        fc.append(DenseLayerDescriptor(**given, weights_path=resolve(where, entry)))
     return NetworkDescriptor(layers, fc, name=doc.get("name", ""))
 
 
 def save_network(net: NetworkDescriptor, path: str) -> None:
-    doc = {"name": net.name, "layers": [], "fc": []}
-    for l in net.layers:
-        doc["layers"].append(
-            {
-                "n_in": l.n_in, "n_out": l.n_out, "k": l.k, "h": l.h, "w": l.w,
-                "pad": l.pad, "relu": l.relu, "pool": l.pool, "encode": l.encode,
-                "frac_in": l.frac_in, "frac_w": l.frac_w, "frac_out": l.frac_out,
-                "weights": l.weights_path,
-            }
-        )
-    for d in net.fc:
-        doc["fc"].append(
-            {
-                "n_in": d.n_in, "n_out": d.n_out, "relu": d.relu,
-                "frac_in": d.frac_in, "frac_w": d.frac_w, "frac_out": d.frac_out,
-                "weights": d.weights_path,
-            }
-        )
+    def entry(d, keys):
+        return {kk: getattr(d, kk) for kk in keys} | {"weights": d.weights_path}
+
+    doc = {
+        "name": net.name,
+        "layers": [entry(l, _LAYER_KEYS) for l in net.layers],
+        "fc": [entry(d, _FC_KEYS) for d in net.fc],
+    }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
 

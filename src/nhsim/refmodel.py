@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fxp import I32_MAX, I32_MIN, requantize_array
-from .netmodel import FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError
+from .fxp import I32_MAX, I32_MIN, QFormat, requantize_array
+from .netmodel import MAX_PAD, FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError
 
 
 def conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int = 0) -> np.ndarray:
@@ -30,8 +30,8 @@ def conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int = 0) -> np.ndarray:
         raise ValidationError(
             f"kernel expects {kern.n_in} input channels, tensor has {t.channels}"
         )
-    if pad < 0 or pad > 3:
-        raise ValidationError(f"pad {pad} outside [0, 3]")
+    if not 0 <= pad <= MAX_PAD:
+        raise ValidationError(f"pad {pad} outside [0, {MAX_PAD}]")
     k = kern.k
     c, h, w = t.values.shape
     out_h = h + 2 * pad - k + 1
@@ -108,8 +108,6 @@ def dense_forward(
         )
     acc = w @ vec + np.asarray(bias, dtype=np.int64)
     acc = np.clip(acc, I32_MIN, I32_MAX)
-    from .fxp import QFormat
-
     out = requantize_array(acc, acc_frac, QFormat(out_frac))
     if relu:
         out = np.maximum(out, 0).astype(np.int16)

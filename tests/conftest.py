@@ -13,18 +13,98 @@ the vectorised codec and generator must reproduce bit for bit.
 :func:`reference_conv2d` is the int64 ``tensordot`` convolution that the
 float64 matmul oracle in :mod:`nhsim.refmodel` replaced.
 :func:`quantize_kernel_set` turns real-valued weights into a kernel set;
-only tests need it, so it lives here rather than in the package.
+only tests need it, so it lives here rather than in the package.  So do the
+scalar fixed-point rules (:func:`saturate16`, :func:`saturate32`,
+:func:`quantize`, :func:`quantize_array`, :func:`requantize`,
+:func:`relu16`), which the naive oracle and the checks of
+:func:`nhsim.fxp.requantize_array` use, and :func:`rl_decode`, the inverse
+of :func:`nhsim.codec.rl_encode`.
 """
 
+import math
 from typing import Iterator, Optional
 
 import numpy as np
 import pytest
 
-from nhsim import codec, fxp
+from nhsim import codec
 from nhsim.codec import CompressedStream, StreamError
-from nhsim.fxp import QFormat
+from nhsim.fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN, QFormat
 from nhsim.netmodel import FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError
+
+
+def saturate16(raw: int) -> int:
+    return I16_MIN if raw < I16_MIN else I16_MAX if raw > I16_MAX else raw
+
+
+def saturate32(raw: int) -> int:
+    return I32_MIN if raw < I32_MIN else I32_MAX if raw > I32_MAX else raw
+
+
+def quantize(x: float, q: QFormat) -> int:
+    """Quantize a real number to a raw 16-bit value under ``q``.
+
+    Round-to-nearest-even, saturating.  Non-finite input is rejected as
+    invalid source data.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"cannot quantize non-finite value {x!r}")
+    scaled = x * q.scale
+    # round() is round-half-to-even on floats
+    return saturate16(round(scaled))
+
+
+def quantize_array(x: np.ndarray, q: QFormat) -> np.ndarray:
+    """Vectorized :func:`quantize`; returns an int16 array."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot quantize non-finite values")
+    scaled = np.rint(x * q.scale)  # np.rint rounds half to even
+    return np.clip(scaled, I16_MIN, I16_MAX).astype(np.int16)
+
+
+def _rshift_round_even(v: int, s: int) -> int:
+    # v = (v >> s) * 2**s + (v & mask) with a non-negative remainder, so the
+    # same tie-to-even test works for negative values.
+    half = 1 << (s - 1)
+    r = v & ((1 << s) - 1)
+    q = v >> s
+    if r > half or (r == half and (q & 1)):
+        q += 1
+    return q
+
+
+def requantize(acc: int, in_frac: int, out_q: QFormat) -> int:
+    """Renormalize a 32-bit accumulator to a 16-bit value in ``out_q``.
+
+    Arithmetic shift by ``in_frac - out_q.frac_bits``; right shifts round
+    to nearest even, left shifts are exact; the result saturates to 16 bits.
+    """
+    shift = in_frac - out_q.frac_bits
+    if shift > 0:
+        v = _rshift_round_even(acc, shift)
+    elif shift < 0:
+        v = acc << (-shift)
+    else:
+        v = acc
+    return saturate16(v)
+
+
+def relu16(x: int) -> int:
+    """max(0, x) on a raw 16-bit value; format unchanged."""
+    return x if x > 0 else 0
+
+
+def rl_decode(pairs: list[tuple[int, int]], pixel_count: int) -> np.ndarray:
+    """Expand (run, value) pairs back to a flat pixel array of known length."""
+    out = np.zeros(pixel_count, dtype=np.int16)
+    pos = 0
+    for run, v in pairs:
+        pos += run
+        if pos < pixel_count:
+            out[pos] = v
+        pos += 1
+    return out
 
 
 def stream_order_iter(t: FeatureMapTensor) -> Iterator[tuple[int, int, int, int]]:
@@ -223,7 +303,7 @@ def reference_conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int) -> np.ndarr
         for dx in range(k):
             window = padded[:, dy : dy + out_h, dx : dx + out_w]
             acc += np.tensordot(w64[:, :, dy, dx], window, axes=([1], [0]))
-    return np.clip(acc, fxp.I32_MIN, fxp.I32_MAX)
+    return np.clip(acc, I32_MIN, I32_MAX)
 
 
 def naive_layer_forward(t: FeatureMapTensor, layer: LayerDescriptor, kern: KernelSet):
@@ -245,10 +325,10 @@ def naive_layer_forward(t: FeatureMapTensor, layer: LayerDescriptor, kern: Kerne
                             ix = ox + dx - pad
                             if 0 <= iy < layer.h and 0 <= ix < layer.w:
                                 acc += w[j][i][dy][dx] * v[i][iy][ix]
-                acc = fxp.saturate32(acc)
-                r = fxp.requantize(acc, layer.acc_frac, layer.out_qformat)
+                acc = saturate32(acc)
+                r = requantize(acc, layer.acc_frac, layer.out_qformat)
                 if layer.relu:
-                    r = fxp.relu16(r)
+                    r = relu16(r)
                 out[j][oy][ox] = r
     if layer.pool:
         h2, w2 = oh // 2, ow // 2
@@ -335,7 +415,7 @@ def quantize_kernel_set(
 ) -> KernelSet:
     """Quantize real-valued weights/biases; biases land in accumulator format."""
     qw = QFormat(frac_w)
-    w = fxp.quantize_array(np.asarray(weights, dtype=np.float64), qw)
+    w = quantize_array(np.asarray(weights, dtype=np.float64), qw)
     acc_scale = 1 << (frac_w + frac_in)
     b = np.clip(
         np.rint(np.asarray(bias, dtype=np.float64) * acc_scale),

@@ -1,0 +1,109 @@
+"""Mutation checks: each seeded fault must fail the test named for it.
+
+Run from the root of the repository::
+
+    python tests/mutants.py
+
+Every entry of ``MUTANTS`` is (file, old text, new text, test id).  The
+script first runs all the named tests on an unchanged copy of ``src/`` and
+``tests/``, where they must pass.  Then, per entry, it makes a fresh copy,
+replaces the old text (which must occur exactly once) with the new one and
+runs the named test there.  The mutant is killed when that test fails.  It
+prints one line per mutant and the kill count, and exits 1 if any mutant
+survives or any entry cannot be applied.  The file has no ``test_`` prefix,
+so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+MUTANTS = [
+    (
+        "src/nhsim/accel.py",
+        "np.rint(acc, out=acc)",
+        "np.floor(acc, out=acc)",
+        "tests/test_accel.py::TestFunctionalEquivalence::test_random_sweep_matches_oracle",
+    ),
+    (
+        "src/nhsim/accel.py",
+        "            np.clip(acc, I32_MIN, I32_MAX, out=acc)\n",
+        "",
+        "tests/test_accel.py::TestPipelineProperties::"
+        "test_int32_clamp_decides_a_wide_right_shift",
+    ),
+    (
+        "src/nhsim/codec.py",
+        "    if end > n_fields:\n",
+        "    if False:\n",
+        "tests/test_codec.py::TestDecode::test_truncated_stream_promising_pixels",
+    ),
+    (
+        # the bias once per cooperating cluster instead of once per channel
+        "src/nhsim/accel.py",
+        "            acc += bias[lo:hi]\n",
+        "            acc += len(clusters) * bias[lo:hi]\n",
+        "tests/test_accel.py::TestFunctionalEquivalence::test_layer_shapes_match_oracle",
+    ),
+    (
+        # four pixels a cycle out of a raw layer, while its trace moves two
+        "src/nhsim/accel.py",
+        "drain = -(-px_out // OUTPUT_PIXELS_PER_CYCLE)",
+        "drain = -(-px_out // 4)",
+        "tests/test_accel.py::TestTrace::test_raw_trace_moves_every_pixel",
+    ),
+]
+
+
+def _copy(dst: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dst, name), ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dst)
+
+
+def _pytest(where: str, test_ids: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.join(where, "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids]
+    return subprocess.run(
+        cmd, cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    ).returncode
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(tmp)
+        if _pytest(tmp, sorted({m[3] for m in MUTANTS})) != 0:
+            print("mutants: the named tests fail on the unchanged code")
+            return 1
+    killed = 0
+    for path, old, new, test_id in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            _copy(tmp)
+            target = os.path.join(tmp, path)
+            with open(target, encoding="utf-8") as f:
+                text = f.read()
+            if text.count(old) != 1:
+                print(f"NOT APPLIED  {path}: {old.strip()!r} occurs {text.count(old)} times")
+                continue
+            with open(target, "w", encoding="utf-8") as f:
+                f.write(text.replace(old, new))
+            # pytest exits 1 when a test fails; other codes are errors
+            dead = _pytest(tmp, [test_id]) == 1
+        killed += dead
+        print(f"{'killed  ' if dead else 'SURVIVED'}  {path}: {old.strip()!r} -> "
+              f"{new.strip()!r}  [{test_id}]")
+    print(f"mutants: {killed}/{len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

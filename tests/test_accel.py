@@ -322,6 +322,19 @@ class TestPipelineProperties:
         assert np.array_equal(got, refmodel.layer_forward(t, layer, kern).values)
         assert got.min() == (0 if relu else I16_MIN) and got.max() == I16_MAX
 
+    def test_int32_clamp_decides_a_wide_right_shift(self, rng):
+        # shifted right by 30 bits the clamped accumulators read out as -2
+        # and 2, well inside int16, so only the 32-bit clamp keeps the
+        # accumulators past it from reading out larger
+        layer = LayerDescriptor(n_in=5, n_out=7, h=9, w=11, k=3, relu=False,
+                                frac_in=15, frac_w=15, frac_out=0)
+        t, kern = extreme_case(rng, layer)
+        acc = refmodel.conv2d(t, kern, layer.pad)
+        assert acc.min() == I32_MIN and acc.max() == I32_MAX
+        got = simulate_layer(t, kern, layer).tensor.values
+        assert np.array_equal(got, refmodel.layer_forward(t, layer, kern).values)
+        assert (got.min(), got.max()) == (-2, 2)
+
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize(
         "stripes, blocks",
@@ -406,6 +419,45 @@ class TestCycleModel:
         words = codec.encode(t).word_count
         assert plan_layer(layer, HW).n_passes == 1
         assert sim.stats.cycles_input_stream == words
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.sampled_from([1, 3, 5, 7]), pad=st.integers(0, 3),
+        conv_h=st.integers(1, 12), conv_w=st.integers(1, 12),
+        n_in=st.integers(1, 24), n_out=st.integers(1, 300),
+        pool=st.booleans(), encode=st.booleans(),
+        sparsity=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        macs=st.sampled_from([8, 16, 64, 128, 256]),
+        pixel_mem_bytes=st.sampled_from([64, 1024, 512 * 1024]),
+        kernel_bank_values=st.sampled_from([256, 1024, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_output_stream_size(self, k, pad, conv_h, conv_w, n_in, n_out, pool,
+                                encode, sparsity, macs, pixel_mem_bytes,
+                                kernel_bank_values, seed):
+        # bytes_out against the stream the codec writes for the whole output:
+        # one pass writes exactly it, more passes round per pass and write
+        # at least it
+        pad = min(pad, (conv_h + k - 2) // 2, (conv_w + k - 2) // 2)
+        pool = pool and conv_h >= 2 and conv_w >= 2
+        layer = LayerDescriptor(
+            n_in=n_in, n_out=n_out, h=conv_h + k - 1 - 2 * pad,
+            w=conv_w + k - 1 - 2 * pad, k=k, pad=pad, pool=pool, encode=encode,
+        )
+        hw = HardwareConfig(macs=macs, pixel_mem_bytes=pixel_mem_bytes,
+                            kernel_bank_values=kernel_bank_values)
+        rng = np.random.default_rng(seed)
+        t = random_tensor(rng, n_in, layer.h, layer.w, sparsity=0.5)
+        out = random_tensor(rng, *layer.out_shape, sparsity=sparsity)
+        stats = simulate_layer_stats(t, out, layer, hw=hw)
+        if encode:
+            want = 4 * codec.encode(out).word_count
+        else:
+            want = 4 * codec.encode_raw(out).words.size
+        if stats.passes == 1:
+            assert stats.bytes_out == want
+        else:
+            assert stats.bytes_out >= want
 
     def test_drain_respects_output_bus_cap(self, rng):
         layer, t, kern = random_case(rng)
@@ -540,21 +592,40 @@ class TestTotalStats:
 
 
 class TestTrace:
-    def test_trace_caps_and_length(self, rng):
-        layer = LayerDescriptor(n_in=2, n_out=8, h=8, w=8, k=3, pad=0)
-        t = random_tensor(rng, 2, 8, 8, sparsity=0.4)
-        kern = random_kernels(rng, 8, 2, 3)
+    @staticmethod
+    def _traced(rng, layer, sparsity):
+        """Simulate ``layer`` with a trace, check its length and per-cycle
+        caps, and return the result and the pixels the trace moves out."""
+        t = random_tensor(rng, layer.n_in, layer.h, layer.w, sparsity=sparsity)
+        kern = random_kernels(rng, layer.n_out, layer.n_in, layer.k)
         buf = io.StringIO()
         sim = simulate_layer(t, kern, layer, trace=buf)
         lines = [l for l in buf.getvalue().splitlines() if l]
         assert len(lines) == sim.stats.cycles_total
         seen_phases = set()
+        px_out = 0
         for line in lines:
             _, phase, pin, pout = line.split()
             seen_phases.add(phase)
             assert int(pin) <= layer.k + 1
-            assert int(pout) <= HW.output_pixels_per_cycle
+            assert int(pout) <= accel.OUTPUT_PIXELS_PER_CYCLE
+            px_out += int(pout)
         assert {"kernel_load", "overlap"} <= seen_phases
+        return sim, px_out
+
+    def test_trace_caps_and_length(self, rng):
+        layer = LayerDescriptor(n_in=2, n_out=8, h=8, w=8, k=3, pad=0)
+        sim, px_out = self._traced(rng, layer, 0.4)
+        # an encoded layer writes its non-zero pixels
+        assert px_out == np.count_nonzero(sim.tensor.values)
+
+    def test_raw_trace_moves_every_pixel(self, rng):
+        # a raw layer writes every pixel, zeros too; with 1x1 kernels over
+        # two input maps the drain of 128 output maps bounds every pass
+        layer = LayerDescriptor(n_in=2, n_out=128, h=8, w=8, k=1, encode=False)
+        sim, px_out = self._traced(rng, layer, 0.4)
+        assert px_out == sim.tensor.pixel_count
+        assert sim.stats.bytes_out == 2 * px_out
 
     def test_stats_only_trace_matches_full_sim(self, rng):
         layer = LayerDescriptor(n_in=3, n_out=130, h=6, w=6, k=3, pad=1, pool=True)

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_kernels, random_tensor
 from nhsim import codec, netmodel, presets, refmodel
@@ -437,6 +440,9 @@ class TestSelfCheck:
         result = selfcheck(seed=1, trials=0)
         assert result.passed
         assert "vacuous" in capsys.readouterr().out
+        # the CLI's flag checks let zero trials through
+        assert main(["selfcheck", "--trials=0"]) == 0
+        assert "vacuous" in capsys.readouterr().out
 
     def test_passes_on_correct_build(self, capsys):
         result = selfcheck(seed=1, trials=40)
@@ -463,3 +469,70 @@ class TestSelfCheck:
         assert "k=" in result.failures[0]
         assert "pad=" in result.failures[0]
         assert "seed=7" in result.failures[0]
+
+
+@pytest.fixture(scope="module")
+def tiny_run_files(tmp_path_factory):
+    """A saved two-layer network with weights and an input for it."""
+    d = tmp_path_factory.mktemp("tiny")
+    rng = np.random.default_rng(5)
+    netpath, inpath = str(d / "net.json"), str(d / "in.nht")
+    netmodel.save_network(build_tiny_net(d, rng, with_fc=False), netpath)
+    netmodel.save_tensor(random_tensor(rng, 1, 8, 8), inpath)
+    return netpath, inpath
+
+
+class TestNumericFlags:
+    """Numeric flags out of range end in one stderr line and exit 2."""
+
+    @pytest.mark.parametrize("case", [
+        (["run", "--clock-mhz=0"], "clock_hz must be positive and finite"),
+        (["run", "--clock-mhz=-5"], "clock_hz must be positive and finite"),
+        (["run", "--clock-mhz=nan"], "clock_hz must be positive and finite"),
+        (["run", "--clock-mhz=inf"], "clock_hz must be positive and finite"),
+        (["run", "--synthetic-sparsity", "--seed=-1"], "--seed must be at least 0"),
+        (["compare-codecs", "--sparsity-sweep=0:0.2:0"], "bad sweep '0:0.2:0'"),
+        (["compare-codecs", "--sparsity-sweep=0:2:0.5"], "bad sweep '0:2:0.5'"),
+        (["compare-codecs", "--sparsity-sweep=0:1:1e-300"], "at most 1001 points"),
+        (["compare-codecs", "--sparsity-sweep=0:0:5e-324"], "at most 1001 points"),
+        (["compare-codecs", "--precision=0"], "--precision must be at least 1"),
+        (["compare-codecs", "--trials=-1"], "--trials must be at least 0"),
+        (["compare-codecs", "--trials=0"], "corpus is empty"),
+        (["selfcheck", "--trials=-3"], "--trials must be at least 0"),
+        (["selfcheck", "--seed=-1"], "--seed must be at least 0"),
+    ], ids=lambda case: " ".join(case[0]))
+    def test_bad_flag_fails_in_one_line(self, tiny_run_files, capsys, case):
+        flags, want = case
+        netpath, inpath = tiny_run_files
+        argv = flags + (["--net", netpath, "--input", inpath] if flags[0] == "run" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("nhsim: ") and want in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_numeric_flags_exit_0_or_2(self, tiny_run_files, data):
+        number = st.integers(-3, 3) | st.floats(allow_nan=True, allow_infinity=True)
+        command = data.draw(st.sampled_from(["run", "compare-codecs", "selfcheck"]))
+        seed = data.draw(st.integers(-2, 2**40))
+        if command == "run":
+            netpath, inpath = tiny_run_files
+            argv = ["run", "--net", netpath, "--input", inpath, f"--seed={seed}",
+                    f"--clock-mhz={data.draw(number)!r}"]
+            if data.draw(st.booleans()):
+                argv.append(f"--synthetic-sparsity={data.draw(number)!r}")
+        elif command == "compare-codecs":
+            bound = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 2.0]) | number
+            sweep = ":".join(repr(data.draw(bound)) for _ in range(3))
+            argv = ["compare-codecs", f"--sparsity-sweep={sweep}", f"--seed={seed}",
+                    f"--precision={data.draw(st.integers(-2, 17))}",
+                    f"--trials={data.draw(st.integers(-2, 2))}"]
+        else:
+            argv = ["selfcheck", f"--seed={seed}", f"--trials={data.draw(st.integers(-3, 2))}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2)
+        assert (err.getvalue().count("\n"), rc) in ((0, 0), (1, 2))

@@ -9,6 +9,7 @@ from conftest import (
     iter_nonzero,
     reference_decode,
     reference_encode,
+    rl_decode,
     row_field_offsets,
     stream_order_iter,
 )
@@ -25,7 +26,6 @@ from nhsim.codec import (
     field_count_for,
     load_stream,
     rl_bits,
-    rl_decode,
     rl_encode,
     row_segments,
     save_stream,

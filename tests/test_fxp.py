@@ -3,18 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhsim import fxp
+from conftest import (
+    quantize,
+    quantize_array,
+    relu16,
+    requantize,
+    saturate16,
+    saturate32,
+)
 from nhsim.fxp import (
     I16_MAX,
     I16_MIN,
     I32_MAX,
     I32_MIN,
     QFormat,
-    mac,
-    quantize,
-    quantize_array,
-    relu16,
-    requantize,
     requantize_array,
 )
 
@@ -72,33 +74,6 @@ class TestQuantize:
         assert arr.tolist() == [quantize(x, q) for x in xs]
 
 
-class TestMac:
-    def test_zero_operand(self):
-        assert mac(0, 0, I16_MAX) == 0
-
-    def test_basic(self):
-        assert mac(10, 2, 3) == 16
-
-    def test_saturates(self):
-        assert mac(I32_MAX, I16_MAX, I16_MAX) == I32_MAX
-        assert mac(I32_MIN, I16_MAX, I16_MIN) == I32_MIN
-
-    @settings(max_examples=300)
-    @given(
-        st.integers(min_value=I32_MIN, max_value=I32_MAX),
-        st.integers(min_value=I16_MIN, max_value=I16_MAX),
-        st.integers(min_value=I16_MIN, max_value=I16_MAX),
-    )
-    def test_against_wide_integer_oracle(self, acc, a, b):
-        exact = acc + a * b  # Python ints are arbitrary precision
-        got = mac(acc, a, b)
-        if I32_MIN <= exact <= I32_MAX:
-            assert got == exact
-        else:
-            assert got in (I32_MIN, I32_MAX)
-        assert I32_MIN <= got <= I32_MAX
-
-
 class TestRequantize:
     def test_zero(self):
         assert requantize(0, 16, QFormat(8)) == 0
@@ -154,7 +129,7 @@ class TestRelu:
 
 
 def test_saturate_bounds():
-    assert fxp.saturate16(I16_MAX + 1) == I16_MAX
-    assert fxp.saturate16(I16_MIN - 1) == I16_MIN
-    assert fxp.saturate32(I32_MAX + 1) == I32_MAX
-    assert fxp.saturate32(I32_MIN - 1) == I32_MIN
+    assert saturate16(I16_MAX + 1) == I16_MAX
+    assert saturate16(I16_MIN - 1) == I16_MIN
+    assert saturate32(I32_MAX + 1) == I32_MAX
+    assert saturate32(I32_MIN - 1) == I32_MIN

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_layer_forward, random_kernels, random_tensor, reference_conv2d
+from conftest import (
+    naive_layer_forward,
+    random_kernels,
+    random_tensor,
+    reference_conv2d,
+    relu16,
+    requantize,
+    saturate32,
+)
 from nhsim import refmodel
 from nhsim.fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN, QFormat
 from nhsim.netmodel import (
@@ -207,15 +215,13 @@ class TestDenseForward:
         assert out.tolist() == [256, -256]
 
     def test_random_case_vs_scalar_reference(self, rng):
-        from nhsim import fxp
-
         vec = rng.integers(-100, 100, size=3)
         w = rng.integers(-100, 100, size=(4, 3))
         bias = rng.integers(-1000, 1000, size=4)
         out = refmodel.dense_forward(vec, w, bias, 10, 8, relu=True)
         for j in range(4):
             acc = int(bias[j]) + sum(int(w[j][i]) * int(vec[i]) for i in range(3))
-            want = fxp.relu16(fxp.requantize(fxp.saturate32(acc), 10, QFormat(8)))
+            want = relu16(requantize(saturate32(acc), 10, QFormat(8)))
             assert out[j] == want
 
     def test_dim_mismatch(self):

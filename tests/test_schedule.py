@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,23 +65,18 @@ class TestPassRules:
             for p in s.passes:
                 covered.extend(range(p.chan_start, p.chan_start + p.chan_count))
             assert covered == list(range(n_out))
-            assert all(p.macs_used <= HW.macs for p in s.passes)
+            assert all(p.chan_count * p.cluster_size <= HW.macs for p in s.passes)
 
     def test_deterministic(self):
         l = layer(48, 96, 5)
         assert plan_layer(l, HW) == plan_layer(l, HW)
-
-    def test_kernel_too_large_for_hw(self):
-        small_hw = HardwareConfig(max_kernel=5)
-        with pytest.raises(ValidationError):
-            plan_layer(layer(4, 4, 7), small_hw)
 
     def test_huge_footprint_still_schedulable(self):
         # 1024 channels, k=7: 50176 values -> groups of 13 banks
         s = plan_layer(layer(1024, 16, 7, h=16, w=16), HW)
         assert s.passes[0].bank_group == 13
         assert s.values_per_bank <= HW.kernel_bank_values
-        assert all(p.macs_used <= HW.macs for p in s.passes)
+        assert all(p.chan_count * p.cluster_size <= HW.macs for p in s.passes)
 
 
 class TestVggShapes:
@@ -161,3 +158,16 @@ class TestVggShapes:
 def test_controller_divides_macs_invariant():
     with pytest.raises(ValidationError):
         HardwareConfig(macs=100, controllers=8)
+
+
+def test_hardware_fields_are_exactly_the_model_knobs():
+    names = [f.name for f in dataclasses.fields(HardwareConfig)]
+    assert names == ["macs", "controllers", "pixel_mem_bytes", "kernel_bank_values", "clock_hz"]
+
+
+@pytest.mark.parametrize("field", ["macs", "controllers", "pixel_mem_bytes",
+                                   "kernel_bank_values", "clock_hz"])
+@pytest.mark.parametrize("value", [0, -8, float("nan"), float("inf")])
+def test_hardware_fields_must_be_positive_and_finite(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be positive and finite"):
+        HardwareConfig(**{field: value})
