@@ -65,6 +65,8 @@ def _finish_report(
     dense_macs = sum(l.dense_macs for l in net.layers)
     gop_frame = 2.0 * dense_macs / 1e9
     seconds = total.cycles_total / hw.clock_hz
+    if not math.isfinite(seconds):
+        raise netmodel.ValidationError(f"clock {hw.clock_hz} Hz overflows the frame time")
     fps = 1.0 / seconds if seconds > 0 else 0.0
     gop_s = gop_frame * fps
     energy = accel.estimate_dram_energy(total)
@@ -490,7 +492,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print_report(report)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as f:
-                json.dump(report.as_dict(), f, indent=2)
+                json.dump(report.as_dict(), f, indent=2, allow_nan=False)
         return 0
     if args.command == "encode":
         t = netmodel.load_tensor(args.src)

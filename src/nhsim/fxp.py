@@ -22,6 +22,7 @@ I16_MIN = -(1 << 15)
 I16_MAX = (1 << 15) - 1
 I32_MIN = -(1 << 31)
 I32_MAX = (1 << 31) - 1
+MAX_FRAC = 15  # fractional bits a 16-bit signed value can hold
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class QFormat:
     frac_bits: int
 
     def __post_init__(self):
-        if not 0 <= self.frac_bits <= 15:
-            raise ValueError(f"frac_bits must be in [0, 15], got {self.frac_bits}")
+        if not 0 <= self.frac_bits <= MAX_FRAC:
+            raise ValueError(f"frac_bits must be in [0, {MAX_FRAC}], got {self.frac_bits}")
 
     @property
     def scale(self) -> int:

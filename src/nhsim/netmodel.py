@@ -37,13 +37,12 @@ from typing import Optional
 
 import numpy as np
 
-from .fxp import QFormat
+from .fxp import MAX_FRAC, QFormat
 
 MAX_CHANNELS = 1024
 MAX_DIM = 512
 MAX_KERNEL = 7
 MAX_PAD = 3
-MAX_FRAC = 15  # fractional bits of a 16-bit value, as QFormat admits
 
 # pixels per block of the synthetic stand-ins' mask and sign draws; must be even
 _CHUNK = 65536
@@ -293,6 +292,45 @@ class NonzeroMask(np.ndarray):
         return self.view(np.ndarray)
 
 
+# next_uint32 of these bit generators splits a 64-bit raw output, low half
+# first, and keeps the high half in state["has_uint32"] and ["uinteger"]
+_SPLIT64 = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
+# advance(k) of these skips k raw outputs and drops a kept half
+_ADVANCE = ("PCG64", "PCG64DXSM")
+
+
+def _take_words(rng, kind: str, held: int, words: int, keep: bool) -> list:
+    """Take ``words`` 32-bit words from ``rng`` as that many next_uint32
+    calls would, leaving the same state, but at the raw rate where the bit
+    generator ``kind`` allows; ``held`` is 1 when a half is kept at the
+    start.  Returns the words read as uint16 halves, in pieces.
+
+    A kept half goes first, then whole raw outputs (skipped with advance
+    unless ``keep``), then a 2-3 word next_uint32 draw, which rewrites
+    ``uinteger`` and keeps a half when the words after the first are odd.
+    """
+    bg = rng.bit_generator
+
+    def uint32s(k: int) -> np.ndarray:
+        return rng.integers(0, 1 << 32, size=k, dtype=np.uint32).view(np.uint16)
+
+    if kind == "MT19937":  # one raw output is one word
+        return [bg.random_raw(words).astype(np.uint32).view(np.uint16)]
+    rest = words - held
+    if kind not in _SPLIT64 or rest < 4:
+        return [uint32s(words)]
+    tail = 2 + rest % 2
+    pieces = [uint32s(1)] if held else []  # the kept half is the first word
+    if keep:
+        pieces.append(bg.random_raw((rest - tail) // 2).view(np.uint16))
+    elif kind in _ADVANCE:
+        bg.advance((rest - tail) // 2)
+    else:
+        bg.random_raw((rest - tail) // 2)
+    pieces.append(uint32s(tail))
+    return pieces
+
+
 def synthetic_mask(
     channels: int,
     height: int,
@@ -309,10 +347,14 @@ def synthetic_mask(
     draws without forming them, in ``_CHUNK // 2``-word blocks.  Both draws
     read 32-bit words through the generator's ``next_uint32``, one 16-bit
     half per value, low half first, and neither keeps a half across calls;
-    a full-range uint32 draw reads the same words, one per value.
+    :func:`_take_words` reads the same words from the raw outputs, and on
+    PCG64 and PCG64DXSM skips the sign words with ``advance``.
     """
     nonzero = _nonzero_mask(channels, height, width, target_sparsity, rng, burst_mean)
     n = len(nonzero)
+    state = rng.bit_generator.state
+    kind = state.get("bit_generator")
+    held = int(state["has_uint32"]) if kind in _SPLIT64 else 0
     # The values: numpy's Lemire draw over the span s = _VALUE_HIGH - 1
     # multiplies a half x by s and rejects it, drawing the next half, when
     # the low 16 bits of the product fall below 2**16 mod s (16 for 4095).
@@ -324,13 +366,18 @@ def synthetic_mask(
     accepted = 0
     while accepted < n:
         words = min(-(-(n - accepted) // 2), _CHUNK // 2)
-        halves = rng.integers(0, 1 << 32, size=words, dtype=np.uint32).view(np.uint16)
-        halves *= span  # wraps, leaving the low 16 bits of the product
-        accepted += 2 * words - int(np.count_nonzero(halves < reject_below))
+        accepted += 2 * words
+        for halves in _take_words(rng, kind, held, words, keep=True):
+            halves *= span  # wraps, leaving the low 16 bits of the product
+            accepted -= int(np.count_nonzero(halves < reject_below))
+        held ^= words & 1
     # the signs: ceil(len / 2) words per chunk, so ceil(n / 2) in all
     words = -(-n // 2)
-    for i in range(0, words, _CHUNK // 2):
-        rng.integers(0, 1 << 32, size=min(_CHUNK // 2, words - i), dtype=np.uint32)
+    step = words if kind in _ADVANCE else _CHUNK // 2
+    for i in range(0, words, step):
+        block = min(step, words - i)
+        _take_words(rng, kind, held, block, keep=False)
+        held ^= block & 1
     return nonzero.reshape(height, width, channels).transpose(2, 0, 1).view(NonzeroMask)
 
 

@@ -59,6 +59,20 @@ MUTANTS = [
         "drain = -(-px_out // 4)",
         "tests/test_accel.py::TestTrace::test_raw_trace_moves_every_pixel",
     ),
+    (
+        # a stand-in mask reads a raw output before the half its generator kept
+        "src/nhsim/netmodel.py",
+        "pieces = [uint32s(1)] if held else []",
+        "pieces = []",
+        "tests/test_netmodel.py::TestSyntheticMask::test_words_drawn_before_the_call",
+    ),
+    (
+        # one sign word fewer skipped where advance skips them
+        "src/nhsim/netmodel.py",
+        "        _take_words(rng, kind, held, block, keep=False)\n",
+        "        _take_words(rng, kind, held, block - (kind in _ADVANCE), keep=False)\n",
+        "tests/test_netmodel.py::TestSyntheticMask::test_every_bit_generator",
+    ),
 ]
 
 

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -513,6 +514,68 @@ class TestCycleModel:
         sim = simulate_layer(t, kern, layer)
         stats2 = simulate_layer_stats(t, sim.tensor, layer)
         assert stats2.as_dict() == sim.stats.as_dict()
+
+
+@st.composite
+def stats_cases(draw):
+    """A random layer, a HardwareConfig with 64, 128 or 256 MACs, and a
+    generator for the layer's masks."""
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    conv_h, conv_w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pad = min(draw(st.integers(0, 3)), (conv_h + k - 2) // 2, (conv_w + k - 2) // 2)
+    layer = LayerDescriptor(
+        n_in=draw(st.integers(1, 64)), n_out=draw(st.integers(1, 300)),
+        h=conv_h + k - 1 - 2 * pad, w=conv_w + k - 1 - 2 * pad, k=k, pad=pad,
+        pool=draw(st.booleans()) and conv_h >= 2 and conv_w >= 2,
+        encode=draw(st.booleans()),
+    )
+    hw = HardwareConfig(macs=draw(st.sampled_from([64, 128, 256])))
+    return layer, hw, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+class TestStatsInvariants:
+    """Metamorphic properties of the stats model on non-zero masks."""
+
+    @staticmethod
+    def masks(layer, rng, sparsity=0.5):
+        x = rng.random((layer.n_in, layer.h, layer.w)) >= sparsity
+        return x, rng.random(layer.out_shape) >= 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stats_cases(), sparsity=st.sampled_from([0.0, 0.5, 0.9]),
+           extra=st.sampled_from([0.1, 0.5, 1.0]))
+    def test_zeroing_inputs_never_adds_work(self, case, sparsity, extra):
+        layer, hw, rng = case
+        x, out = self.masks(layer, rng, sparsity)
+        fewer = x & (rng.random(x.shape) >= extra)
+        more = simulate_layer_stats(x, out, layer, hw=hw)
+        less = simulate_layer_stats(fewer, out, layer, hw=hw)
+        assert less.cycles_compute <= more.cycles_compute
+        assert less.mult_ops <= more.mult_ops
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stats_cases())
+    def test_permuting_channels_keeps_mult_ops(self, case):
+        layer, hw, rng = case
+        x, out = self.masks(layer, rng)
+        base = simulate_layer_stats(x, out, layer, hw=hw)
+        shuffled = simulate_layer_stats(x[rng.permutation(layer.n_in)], out, layer, hw=hw)
+        assert shuffled.mult_ops == base.mult_ops
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stats_cases())
+    def test_permuting_within_clusters_keeps_compute(self, case):
+        # channels are dealt round-robin to a pass's v MACs, so a permutation
+        # that keeps every channel's index modulo each pass's v keeps the loads
+        layer, hw, rng = case
+        x, out = self.masks(layer, rng)
+        period = math.lcm(*(p.cluster_size for p in plan_layer(layer, hw).passes))
+        perm = np.arange(layer.n_in)
+        for r in range(min(period, layer.n_in)):
+            perm[r::period] = rng.permutation(perm[r::period])
+        base = simulate_layer_stats(x, out, layer, hw=hw)
+        shuffled = simulate_layer_stats(x[perm], out, layer, hw=hw)
+        assert shuffled.cycles_compute == base.cycles_compute
 
 
 class TestStatsInputs:

@@ -11,11 +11,13 @@ from conftest import (
     saturate16,
     saturate32,
 )
+from nhsim import fxp, netmodel
 from nhsim.fxp import (
     I16_MAX,
     I16_MIN,
     I32_MAX,
     I32_MIN,
+    MAX_FRAC,
     QFormat,
     requantize_array,
 )
@@ -52,6 +54,13 @@ class TestQuantize:
             QFormat(16)
         with pytest.raises(ValueError):
             QFormat(-1)
+
+    def test_one_fraction_range(self):
+        # QFormat, the descriptor checks and the file header checks share it
+        QFormat(MAX_FRAC)
+        with pytest.raises(ValueError, match=rf"\[0, {MAX_FRAC}\]"):
+            QFormat(MAX_FRAC + 1)
+        assert netmodel.MAX_FRAC is fxp.MAX_FRAC
 
     @settings(max_examples=200)
     @given(

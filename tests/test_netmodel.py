@@ -222,9 +222,12 @@ class TestSyntheticMask:
     """``synthetic_mask`` against ``synthetic_tensor(...).values != 0``."""
 
     @staticmethod
-    def assert_mask_matches_tensor(bit_generator, shape, sp, burst_mean, seed=1):
+    def assert_mask_matches_tensor(bit_generator, shape, sp, burst_mean, seed=1, drawn=0):
+        """``drawn`` words go first, so an odd count leaves a half kept."""
         tensor_rng = np.random.Generator(bit_generator(seed))
         mask_rng = np.random.Generator(bit_generator(seed))
+        for r in (tensor_rng, mask_rng):
+            r.integers(0, 1 << 32, size=drawn, dtype=np.uint32)
         t = netmodel.synthetic_tensor(*shape, sp, tensor_rng, burst_mean=burst_mean)
         mask = netmodel.synthetic_mask(*shape, sp, mask_rng, burst_mean=burst_mean)
         assert mask.dtype == bool and mask.shape == shape
@@ -251,6 +254,42 @@ class TestSyntheticMask:
         for shape in [(1, 1, 1), (2, 1, 1), (3, 1, 1), (999, 61, 1)]:
             for bit_generator in (np.random.PCG64, np.random.MT19937):
                 self.assert_mask_matches_tensor(bit_generator, shape, 0.3, None, chunk)
+
+    @pytest.mark.parametrize("drawn", [1, 3])
+    @pytest.mark.parametrize("burst_mean", [None, 16.0])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_words_drawn_before_the_call(self, bit_generator, burst_mean, drawn):
+        # the call starts with a half kept by a 64-bit generator
+        for seed, shape in enumerate([(1, 1, 1), (7, 1, 1), (5, 33, 17), (198, 331, 1)]):
+            self.assert_mask_matches_tensor(
+                bit_generator, shape, 0.82, burst_mean, seed, drawn=drawn
+            )
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_consecutive_masks_from_one_generator(self, bit_generator):
+        # as run_network draws one stand-in after another; a value draw
+        # that ends on an odd word leaves a half kept for the next one
+        tensor_rng = np.random.Generator(bit_generator(9))
+        mask_rng = np.random.Generator(bit_generator(9))
+        for shape, sp in [((3, 5, 7), 0.5), ((64, 33, 31), 0.82), ((1, 1, 1), 0.0),
+                          ((9, 11, 13), 0.3)]:
+            t = netmodel.synthetic_tensor(*shape, sp, tensor_rng)
+            mask = netmodel.synthetic_mask(*shape, sp, mask_rng)
+            assert np.array_equal(mask, t.values != 0)
+            assert same_state(mask_rng.bit_generator.state, tensor_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("chunk", [2, 6, 64])
+    def test_kept_half_over_many_blocks(self, monkeypatch, chunk):
+        # blocks that start on a kept half, with too few words for raw
+        # outputs (chunk 2 and 6) and with many (chunk 64)
+        monkeypatch.setattr(netmodel, "_CHUNK", chunk)
+        shapes = [(1, 1, 1), (2, 1, 1), (5, 1, 1), (37, 5, 1)]
+        for shape in shapes + [(999, 61, 1)] * (chunk == 64):
+            for bit_generator in BIT_GENERATORS:
+                for drawn in (1, 3):
+                    self.assert_mask_matches_tensor(
+                        bit_generator, shape, 0.3, None, chunk, drawn=drawn
+                    )
 
     def test_values_reads_as_plain_array(self, rng):
         mask = netmodel.synthetic_mask(3, 4, 5, 0.5, rng)
