@@ -65,8 +65,6 @@ def _finish_report(
     dense_macs = sum(l.dense_macs for l in net.layers)
     gop_frame = 2.0 * dense_macs / 1e9
     seconds = total.cycles_total / hw.clock_hz
-    if not math.isfinite(seconds):
-        raise netmodel.ValidationError(f"clock {hw.clock_hz} Hz overflows the frame time")
     fps = 1.0 / seconds if seconds > 0 else 0.0
     gop_s = gop_frame * fps
     energy = accel.estimate_dram_energy(total)
@@ -87,6 +85,9 @@ def _finish_report(
         "dram_energy_j_per_frame": energy,
         "dram_power_w": energy * fps,
     }
+    for key, value in report.totals.items():
+        if not math.isfinite(value):
+            raise netmodel.ValidationError(f"clock {hw.clock_hz} Hz gives a non-finite {key}")
     return report
 
 

@@ -293,17 +293,16 @@ class NonzeroMask(np.ndarray):
 
 
 # next_uint32 of these bit generators splits a 64-bit raw output, low half
-# first, and keeps the high half in state["has_uint32"] and ["uinteger"]
-_SPLIT64 = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
-# advance(k) of these skips k raw outputs and drops a kept half
+# first, and keeps the high half in state["has_uint32"] and ["uinteger"];
+# advance(k) skips k raw outputs.  default_rng builds PCG64.
 _ADVANCE = ("PCG64", "PCG64DXSM")
 
 
 def _take_words(rng, kind: str, held: int, words: int, keep: bool) -> list:
     """Take ``words`` 32-bit words from ``rng`` as that many next_uint32
-    calls would, leaving the same state, but at the raw rate where the bit
-    generator ``kind`` allows; ``held`` is 1 when a half is kept at the
-    start.  Returns the words read as uint16 halves, in pieces.
+    calls would, leaving the same state, but at the raw rate when the bit
+    generator ``kind`` is in ``_ADVANCE``; ``held`` is 1 when a half is kept
+    at the start.  Returns the words read as uint16 halves, in pieces.
 
     A kept half goes first, then whole raw outputs (skipped with advance
     unless ``keep``), then a 2-3 word next_uint32 draw, which rewrites
@@ -314,19 +313,15 @@ def _take_words(rng, kind: str, held: int, words: int, keep: bool) -> list:
     def uint32s(k: int) -> np.ndarray:
         return rng.integers(0, 1 << 32, size=k, dtype=np.uint32).view(np.uint16)
 
-    if kind == "MT19937":  # one raw output is one word
-        return [bg.random_raw(words).astype(np.uint32).view(np.uint16)]
     rest = words - held
-    if kind not in _SPLIT64 or rest < 4:
+    if kind not in _ADVANCE or rest < 4:
         return [uint32s(words)]
     tail = 2 + rest % 2
     pieces = [uint32s(1)] if held else []  # the kept half is the first word
     if keep:
         pieces.append(bg.random_raw((rest - tail) // 2).view(np.uint16))
-    elif kind in _ADVANCE:
-        bg.advance((rest - tail) // 2)
     else:
-        bg.random_raw((rest - tail) // 2)
+        bg.advance((rest - tail) // 2)
     pieces.append(uint32s(tail))
     return pieces
 
@@ -347,14 +342,15 @@ def synthetic_mask(
     draws without forming them, in ``_CHUNK // 2``-word blocks.  Both draws
     read 32-bit words through the generator's ``next_uint32``, one 16-bit
     half per value, low half first, and neither keeps a half across calls;
-    :func:`_take_words` reads the same words from the raw outputs, and on
-    PCG64 and PCG64DXSM skips the sign words with ``advance``.
+    :func:`_take_words` reads the same words from the raw outputs of PCG64
+    and PCG64DXSM and skips the sign words there with ``advance``; other bit
+    generators draw them with ``integers``.
     """
     nonzero = _nonzero_mask(channels, height, width, target_sparsity, rng, burst_mean)
     n = len(nonzero)
     state = rng.bit_generator.state
     kind = state.get("bit_generator")
-    held = int(state["has_uint32"]) if kind in _SPLIT64 else 0
+    held = int(state["has_uint32"]) if kind in _ADVANCE else 0
     # The values: numpy's Lemire draw over the span s = _VALUE_HIGH - 1
     # multiplies a half x by s and rejects it, drawing the next half, when
     # the low 16 bits of the product fall below 2**16 mod s (16 for 4095).

@@ -402,13 +402,15 @@ class TestCliCommands:
             fast.totals["gop_per_s"] / 2
         )
 
-    def test_clock_too_slow_for_a_finite_frame_time(self, rng):
-        # a positive clock of 1e-314 Hz would give ms_per_frame inf
+    @pytest.mark.parametrize("clock_hz", [1e-314, 1e-301])
+    def test_clock_too_slow_for_a_finite_frame_time(self, rng, clock_hz):
+        # roshambo takes 113,547 cycles: at 1e-314 Hz the frame time in
+        # seconds overflows, at 1e-301 Hz only the one in milliseconds does
         net = presets.network("roshambo")
         first = net.layers[0]
         t = random_tensor(rng, first.n_in, first.h, first.w, frac=first.frac_in)
-        with pytest.raises(ValidationError, match="overflows the frame time"):
-            run_network(net, t, HardwareConfig(clock_hz=1e-314), synthetic_sparsity=0.82)
+        with pytest.raises(ValidationError, match="non-finite ms_per_frame"):
+            run_network(net, t, HardwareConfig(clock_hz=clock_hz), synthetic_sparsity=0.82)
 
 
 class TestCompareCodecs:
@@ -498,7 +500,8 @@ class TestNumericFlags:
         (["run", "--clock-mhz=-5"], "clock_hz must be positive and finite"),
         (["run", "--clock-mhz=nan"], "clock_hz must be positive and finite"),
         (["run", "--clock-mhz=inf"], "clock_hz must be positive and finite"),
-        (["run", "--clock-mhz=1e-320"], "overflows the frame time"),
+        (["run", "--clock-mhz=1e-320"], "non-finite ms_per_frame"),
+        (["run", "--clock-mhz=1e-310"], "non-finite ms_per_frame"),
         (["run", "--synthetic-sparsity", "--seed=-1"], "--seed must be at least 0"),
         (["compare-codecs", "--sparsity-sweep=0:0.2:0"], "bad sweep '0:0.2:0'"),
         (["compare-codecs", "--sparsity-sweep=0:2:0.5"], "bad sweep '0:2:0.5'"),
