@@ -88,7 +88,7 @@ class HardwareConfig:
     @property
     def peak_gops(self) -> float:
         """Theoretical peak at 2 ops per MAC per cycle."""
-        return self.macs * self.clock_hz * 2.0 / 1e9
+        return 2.0 * self.macs * (self.clock_hz / 1e9)
 
 
 # ---------------------------------------------------------------------------

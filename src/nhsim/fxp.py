@@ -45,19 +45,22 @@ def requantize_array(acc: np.ndarray, in_frac: int, out_q: QFormat) -> np.ndarra
 
     Arithmetic shift by ``in_frac - out_q.frac_bits``; right shifts round
     to nearest even, left shifts are exact; the result saturates to 16 bits.
+    A right shift by s rounds in one int64 buffer: adding 2**(s-1) - 1 and
+    the floor quotient's low bit carries into the quotient exactly when the
+    remainder is above half, or is half and the quotient odd.  The sum must
+    fit in int64, which holds for the 32-bit accumulators both callers clamp.
     """
     acc = np.asarray(acc, dtype=np.int64)
     shift = in_frac - out_q.frac_bits
     if shift > 0:
-        half = np.int64(1) << (shift - 1)
-        mask = (np.int64(1) << shift) - 1
-        q = acc >> shift
-        r = acc & mask
-        q = q + ((r > half) | ((r == half) & ((q & 1) == 1)))
-        v = q
+        v = acc >> shift
+        v &= 1
+        v += acc
+        v += (1 << (shift - 1)) - 1
+        v >>= shift
     elif shift < 0:
         v = acc << (-shift)
     else:
         v = acc
-    return np.clip(v, I16_MIN, I16_MAX).astype(np.int16)
-
+    out = np.empty(v.shape, dtype=np.int16)
+    return np.clip(v, I16_MIN, I16_MAX, out=out, casting="unsafe")

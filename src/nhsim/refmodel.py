@@ -9,8 +9,9 @@ activations are validated int16, so each product has magnitude at most
 2**30, and a layer sums at most ``MAX_CHANNELS * MAX_KERNEL**2`` = 50,176 of
 them, so every partial sum is an integer below 2**46 < 2**53 whatever the
 summation order.  Each output pixel's accumulator (bias plus every product)
-is then taken to int64 and clamped once to the 32-bit range before
-requantization.
+is then taken to int64 and clamped once to the 32-bit range.  The readout
+requantizes that map in one int64 pass, then applies ReLU and the 2x2 max
+pool, the max of four strided views, to the int16 result: it pools last.
 """
 
 from __future__ import annotations
@@ -58,13 +59,16 @@ def apply_relu(acc_map: np.ndarray) -> np.ndarray:
 
 
 def maxpool2x2(acc_map: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 max, stride 2; trailing odd row/column dropped."""
-    c, h, w = acc_map.shape
+    """Non-overlapping 2x2 max, stride 2, as the max of four strided views;
+    trailing odd row/column dropped."""
+    _, h, w = acc_map.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
         raise ValidationError("map too small for 2x2 pooling")
-    trimmed = acc_map[:, : 2 * h2, : 2 * w2]
-    return trimmed.reshape(c, h2, 2, w2, 2).max(axis=(2, 4))
+    top, bottom = acc_map[:, 0 : 2 * h2 : 2], acc_map[:, 1 : 2 * h2 : 2]
+    out = np.maximum(top[:, :, 0 : 2 * w2 : 2], top[:, :, 1 : 2 * w2 : 2])
+    np.maximum(out, bottom[:, :, 0 : 2 * w2 : 2], out=out)
+    return np.maximum(out, bottom[:, :, 1 : 2 * w2 : 2], out=out)
 
 
 def layer_forward(
@@ -81,9 +85,9 @@ def layer_forward(
     acc = conv2d(t, kern, layer.pad)
     out = requantize_array(acc, layer.acc_frac, layer.out_qformat)
     if layer.relu:
-        out = apply_relu(out).astype(np.int16)
+        out = apply_relu(out)
     if layer.pool:
-        out = maxpool2x2(out).astype(np.int16)
+        out = maxpool2x2(out)
     return FeatureMapTensor(out, layer.out_qformat)
 
 
@@ -110,5 +114,5 @@ def dense_forward(
     acc = np.clip(acc, I32_MIN, I32_MAX)
     out = requantize_array(acc, acc_frac, QFormat(out_frac))
     if relu:
-        out = np.maximum(out, 0).astype(np.int16)
+        out = np.maximum(out, 0)
     return out

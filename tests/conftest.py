@@ -12,11 +12,12 @@ row-by-row encoder, the bit-by-bit decoder and the per-pixel generator that
 the vectorised codec and generator must reproduce bit for bit.
 :func:`reference_conv2d` is the int64 ``tensordot`` convolution that the
 float64 matmul oracle in :mod:`nhsim.refmodel` replaced.
-:func:`quantize_kernel_set` turns real-valued weights into a kernel set;
-only tests need it, so it lives here rather than in the package.  So do the
-scalar fixed-point rules (:func:`saturate16`, :func:`saturate32`,
-:func:`quantize`, :func:`quantize_array`, :func:`requantize`,
-:func:`relu16`), which the naive oracle and the checks of
+:func:`stats_cases` draws the random layers and hardware points of the
+stats-model properties.  :func:`quantize_kernel_set` turns real-valued
+weights into a kernel set; only tests need it, so it lives here rather than
+in the package.  So do the scalar fixed-point rules (:func:`saturate16`,
+:func:`saturate32`, :func:`quantize`, :func:`quantize_array`,
+:func:`requantize`, :func:`relu16`), which the naive oracle and the checks of
 :func:`nhsim.fxp.requantize_array` use, and :func:`rl_decode`, the inverse
 of :func:`nhsim.codec.rl_encode`.
 """
@@ -26,8 +27,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nhsim import codec
+from nhsim.accel import HardwareConfig
 from nhsim.codec import CompressedStream, StreamError
 from nhsim.fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN, QFormat
 from nhsim.netmodel import FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError
@@ -429,6 +432,28 @@ def random_kernels(rng, n_out, n_in, k, frac=10, wmax=256, bmax=1 << 18):
     w = rng.integers(-wmax, wmax + 1, size=(n_out, n_in, k, k)).astype(np.int16)
     b = rng.integers(-bmax, bmax, size=n_out).astype(np.int32)
     return KernelSet(w, b, QFormat(frac))
+
+
+@st.composite
+def stats_cases(draw):
+    """A random layer, a HardwareConfig with 64, 128 or 256 MACs, 64 B,
+    1 KiB or 512 KiB of pixel memory and banks of 256, 1024 or 4096
+    values, and a generator for the layer's masks."""
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    conv_h, conv_w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pad = min(draw(st.integers(0, 3)), (conv_h + k - 2) // 2, (conv_w + k - 2) // 2)
+    layer = LayerDescriptor(
+        n_in=draw(st.integers(1, 64)), n_out=draw(st.integers(1, 300)),
+        h=conv_h + k - 1 - 2 * pad, w=conv_w + k - 1 - 2 * pad, k=k, pad=pad,
+        pool=draw(st.booleans()) and conv_h >= 2 and conv_w >= 2,
+        encode=draw(st.booleans()),
+    )
+    hw = HardwareConfig(
+        macs=draw(st.sampled_from([64, 128, 256])),
+        pixel_mem_bytes=draw(st.sampled_from([64, 1024, 512 * 1024])),
+        kernel_bank_values=draw(st.sampled_from([256, 1024, 4096])),
+    )
+    return layer, hw, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
 @pytest.fixture

@@ -73,6 +73,21 @@ MUTANTS = [
         "        _take_words(rng, kind, held, block - (kind in _ADVANCE), keep=False)\n",
         "tests/test_netmodel.py::TestSyntheticMask::test_every_bit_generator",
     ),
+    (
+        # the oracle's one-pass rounding without the quotient's odd bit: ties
+        # round down instead of to even
+        "src/nhsim/fxp.py",
+        "        v = acc >> shift\n        v &= 1\n        v += acc\n",
+        "        v = acc.copy()\n",
+        "tests/test_fxp.py::TestRequantize::test_array_matches_scalar_grid",
+    ),
+    (
+        # the oracle's 2x2 pool without its bottom-left quadrant
+        "src/nhsim/refmodel.py",
+        "    np.maximum(out, bottom[:, :, 0 : 2 * w2 : 2], out=out)\n",
+        "",
+        "tests/test_refmodel.py::TestPoolRelu::test_equals_per_window_loop",
+    ),
 ]
 
 

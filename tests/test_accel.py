@@ -10,6 +10,7 @@ from conftest import (
     decode_stripe,
     random_kernels,
     random_tensor,
+    stats_cases,
     stream_order_iter,
     weight_ops_for_pixel,
 )
@@ -514,23 +515,6 @@ class TestCycleModel:
         sim = simulate_layer(t, kern, layer)
         stats2 = simulate_layer_stats(t, sim.tensor, layer)
         assert stats2.as_dict() == sim.stats.as_dict()
-
-
-@st.composite
-def stats_cases(draw):
-    """A random layer, a HardwareConfig with 64, 128 or 256 MACs, and a
-    generator for the layer's masks."""
-    k = draw(st.sampled_from([1, 3, 5, 7]))
-    conv_h, conv_w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    pad = min(draw(st.integers(0, 3)), (conv_h + k - 2) // 2, (conv_w + k - 2) // 2)
-    layer = LayerDescriptor(
-        n_in=draw(st.integers(1, 64)), n_out=draw(st.integers(1, 300)),
-        h=conv_h + k - 1 - 2 * pad, w=conv_w + k - 1 - 2 * pad, k=k, pad=pad,
-        pool=draw(st.booleans()) and conv_h >= 2 and conv_w >= 2,
-        encode=draw(st.booleans()),
-    )
-    hw = HardwareConfig(macs=draw(st.sampled_from([64, 128, 256])))
-    return layer, hw, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
 class TestStatsInvariants:

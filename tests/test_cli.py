@@ -412,6 +412,19 @@ class TestCliCommands:
         with pytest.raises(ValidationError, match="non-finite ms_per_frame"):
             run_network(net, t, HardwareConfig(clock_hz=clock_hz), synthetic_sparsity=0.82)
 
+    def test_huge_clock_keeps_efficiency(self, rng):
+        # 128 MACs * 1e308 Hz overflowed peak_gops to inf, and efficiency read 0.0
+        net = presets.network("roshambo")
+        first = net.layers[0]
+        t = random_tensor(rng, first.n_in, first.h, first.w, frac=first.frac_in)
+        eff = [
+            run_network(net, t, HardwareConfig(clock_hz=hz), synthetic_sparsity=0.82)[0]
+            .totals["efficiency"]
+            for hz in (500e6, 1e308)
+        ]
+        assert eff[0] > 0
+        assert eff[1] == pytest.approx(eff[0], rel=1e-9)
+
 
 class TestCompareCodecs:
     def test_parse_sweep(self):

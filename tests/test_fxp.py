@@ -125,6 +125,23 @@ class TestRequantize:
         arr = requantize_array(np.array(accs, dtype=np.int64), in_frac, q)
         assert arr.tolist() == [requantize(a, in_frac, q) for a in accs]
 
+    @pytest.mark.parametrize("shift", range(-15, 31))
+    def test_array_matches_scalar_grid(self, shift):
+        # the int32 ends, zero, +-1, and for right shifts the ties
+        # +-(2j+1) * 2**(s-1) and their neighbours, up to the largest in range
+        accs = [I32_MIN, I32_MAX, 0, 1, -1]
+        if shift > 0:
+            top = ((I32_MAX >> (shift - 1)) - 1) // 2  # the largest j in range
+            for j in (*range(4), *range(max(0, top - 3), top + 1)):
+                tie = (2 * j + 1) << (shift - 1)
+                accs += [a for a in (tie - 1, tie, tie + 1) for a in (a, -a)]
+        accs = np.array([a for a in accs if I32_MIN <= a <= I32_MAX], dtype=np.int64)
+        for out_f in {max(0, -shift), MAX_FRAC}:
+            q = QFormat(out_f)
+            arr = requantize_array(accs, shift + out_f, q)
+            assert arr.dtype == np.int16
+            assert arr.tolist() == [requantize(int(a), shift + out_f, q) for a in accs]
+
 
 class TestRelu:
     def test_examples(self):

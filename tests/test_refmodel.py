@@ -112,7 +112,36 @@ class TestConv2d:
             refmodel.conv2d(t, kern)
 
 
+def naive_maxpool(m):
+    """Per-window 2x2 max over the even rows and columns."""
+    c, h, w = m.shape
+    out = np.empty((c, h // 2, w // 2), dtype=m.dtype)
+    for j in range(c):
+        for y in range(h // 2):
+            for x in range(w // 2):
+                window = [m[j, 2 * y + dy, 2 * x + dx] for dy in (0, 1) for dx in (0, 1)]
+                out[j, y, x] = max(int(v) for v in window)
+    return out
+
+
 class TestPoolRelu:
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from([np.int16, np.int64]), c=st.integers(1, 4),
+           h=st.integers(2, 9), w=st.integers(2, 9), transposed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_window_loop(self, dtype, c, h, w, transposed, seed):
+        info = np.iinfo(dtype)
+        m = np.random.default_rng(seed).integers(
+            info.min, info.max, size=(c, h, w), dtype=dtype, endpoint=True
+        )
+        if transposed:
+            # the same map as a non-contiguous view of its transpose
+            m = np.ascontiguousarray(m.transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert not m.flags.c_contiguous
+        got = refmodel.maxpool2x2(m)
+        assert got.dtype == dtype
+        assert np.array_equal(got, naive_maxpool(m))
+
     def test_constant_map_halves(self):
         m = np.full((2, 6, 6), 42, dtype=np.int64)
         out = refmodel.maxpool2x2(m)
@@ -192,6 +221,19 @@ class TestLayerForward:
         got = refmodel.layer_forward(t, layer, kern)
         want = naive_layer_forward(t, layer, kern)
         assert np.array_equal(got.values, want)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_int16_out_and_input_untouched(self, rng, relu, pool):
+        layer = LayerDescriptor(n_in=3, n_out=4, h=7, w=6, k=3, pad=1, relu=relu, pool=pool)
+        t = random_tensor(rng, 3, 7, 6)
+        before = t.values.copy()
+        t.values.setflags(write=False)  # a write into the input raises
+        kern = random_kernels(rng, 4, 3, 3)
+        out = refmodel.layer_forward(t, layer, kern)
+        assert out.values.dtype == np.int16
+        assert np.array_equal(t.values, before)
+        assert np.array_equal(out.values, naive_layer_forward(t, layer, kern))
 
     def test_input_shape_mismatch(self, rng):
         layer = LayerDescriptor(n_in=2, n_out=2, h=8, w=8, k=3)

@@ -1,4 +1,5 @@
-"""Every preset's synthetic report against the benchmark's own checks.
+"""Synthetic reports against the benchmark's own checks: every preset, and
+random layers on random hardware points.
 
 ``perfbench/checks.py`` writes the report rules from the README without
 calling nhsim; it is loaded from there, not copied, so the two suites
@@ -10,10 +11,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_tensor
+from conftest import random_tensor, stats_cases
 from nhsim import presets
 from nhsim.cli import run_network
+from nhsim.netmodel import LayerDescriptor, NetworkDescriptor
 
 _CHECKS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "checks.py"
@@ -44,3 +48,21 @@ def test_preset_report_passes_benchmark_checks(name, sparsity):
             f"{where}: {writer['name']} writes {writer['bytes_out']} bytes, "
             f"{reader['name']} reads {reader['bytes_in']} in {streams} streams"
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=stats_cases(), sparsity=st.sampled_from([0.0, 0.5, 0.82, 1.0]))
+def test_random_layers_pass_benchmark_checks(case, sparsity):
+    # the random layer, then a 1x1 layer reading its output, so the totals
+    # sum two layers; the HardwareConfig varies MACs, pixel memory and banks
+    layer, hw, rng = case
+    c, h, w = layer.out_shape
+    tail = LayerDescriptor(n_in=c, n_out=int(rng.integers(1, 64)), h=h, w=w, k=1)
+    net = NetworkDescriptor([layer, tail], name="random")
+    x = random_tensor(rng, layer.n_in, layer.h, layer.w, frac=layer.frac_in)
+    report, _ = run_network(net, x, hw=hw, synthetic_sparsity=sparsity, seed=3)
+    doc = report.as_dict()
+    where = f"{hw}@{sparsity}"
+    assert checks.check_report_totals(where, doc) == []
+    assert checks.check_layer_stats(where, doc["layers"]) == []
+    assert checks.reload_fault_layers(doc["layers"], hw.pixel_mem_bytes) == []
