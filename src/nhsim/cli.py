@@ -269,46 +269,31 @@ def compare_codecs_cmd(
     """Mean compressed sizes per sparsity point, SM format vs run-length.
 
     Synthetic corpora use clustered zero runs, matching the spatially
-    correlated inactivity of real feature maps.
+    correlated inactivity of real feature maps; each point's stand-ins are
+    drawn and sized a group at a time.
     """
     file = file or sys.stdout
-    rows = []
     rng = np.random.default_rng(seed)
     if corpus is not None:
-        groups = [("corpus", corpus)]
-    else:
-        groups = []
-        for sp in sweep:
-            tensors = [
-                netmodel.synthetic_tensor(2, 24, 24, sp, rng, burst_mean=burst_mean)
-                for _ in range(trials)
-            ]
-            groups.append((f"{sp:.4f}", tensors))
-    # sized before the header, so an empty corpus prints nothing
-    sized = [(label, codec.compare_codecs(tensors, precision)) for label, tensors in groups]
-    print("sparsity\traw_bits\tsm_bits\trl_bits\tcis_bits\tsm_ratio\trl_ratio", file=file)
-    for label, reports in sized:
-        raw = float(np.mean([r.raw_bits for r in reports]))
-        sm = float(np.mean([r.sm_bits for r in reports]))
-        rl = float(np.mean([r.rl_bits for r in reports]))
-        cis = float(np.mean([r.cis_bits for r in reports]))
-        sp_meas = float(np.mean([r.sparsity for r in reports]))
-        row = {
-            "label": label,
-            "sparsity": sp_meas,
-            "raw_bits": raw,
-            "sm_bits": sm,
-            "rl_bits": rl,
-            "cis_bits": cis,
-            "sm_ratio": sm / raw,
-            "rl_ratio": rl / raw,
-        }
+        points = [("corpus", (t.values[None] for t in corpus))]
+    else:  # each point's groups are drawn as it is sized, in sweep order
+        groups = netmodel.synthetic_mask_groups
+        points = [(f"{sp:.4f}", groups(trials, 2, 24, 24, sp, rng, burst_mean)) for sp in sweep]
+    rows = []  # all sized before the header, so an empty corpus prints nothing
+    for label, batches in points:
+        parts = [codec.batch_sizes(b, precision) for b in batches]
+        if not parts:
+            raise netmodel.ValidationError("corpus is empty")
+        mean = {k: float(np.mean(np.concatenate([p[k] for p in parts]))) for k in parts[0]}
+        row = {"label": label, "sparsity": mean["sparsity"]}
+        row |= {k: mean[k] for k in ("raw_bits", "sm_bits", "rl_bits", "cis_bits")}
+        row["sm_ratio"] = row["sm_bits"] / row["raw_bits"]
+        row["rl_ratio"] = row["rl_bits"] / row["raw_bits"]
         rows.append(row)
-        print(
-            f"{sp_meas:.4f}\t{raw:.0f}\t{sm:.1f}\t{rl:.1f}\t{cis:.1f}"
-            f"\t{row['sm_ratio']:.4f}\t{row['rl_ratio']:.4f}",
-            file=file,
-        )
+    print("sparsity\traw_bits\tsm_bits\trl_bits\tcis_bits\tsm_ratio\trl_ratio", file=file)
+    for row in rows:
+        print("{sparsity:.4f}\t{raw_bits:.0f}\t{sm_bits:.1f}\t{rl_bits:.1f}\t{cis_bits:.1f}"
+              "\t{sm_ratio:.4f}\t{rl_ratio:.4f}".format(**row), file=file)
     return rows
 
 

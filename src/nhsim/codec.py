@@ -59,7 +59,6 @@ from .netmodel import (
     FileFormatError,
     ValidationError,
     check_frac_bits,
-    sparsity,
 )
 
 SEGMENT_BITS = 16
@@ -203,8 +202,7 @@ def sparsity_maps(values: np.ndarray) -> np.ndarray:
 
 def field_count_for(t: FeatureMapTensor) -> int:
     """Field count :func:`encode` would produce, without building the stream."""
-    segs = row_segments(t.width, t.channels) * t.height
-    return segs + int(np.count_nonzero(t.values))
+    return report_for(t).sm_bits // SEGMENT_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -376,42 +374,51 @@ def rl_encode(t: FeatureMapTensor) -> tuple[int, list[tuple[int, int]]]:
 
 
 def rl_bits(t: FeatureMapTensor) -> int:
-    """Bits :func:`rl_encode` uses, in closed form from the zero runs.
-
-    One pair per non-zero pixel; one (31, 0) pair per 32 zeros of a run,
-    its value field taking the 32nd zero; and one flush pair when the
-    trailing run has zeros left over after those.
-    """
-    per_pair = RL_MAX_RUN + 1
-    nz = np.flatnonzero(_stream_mask(t.values))
-    trailing = t.pixel_count - 1 - (int(nz[-1]) if len(nz) else -1)
-    runs = np.diff(nz, prepend=-1) - 1  # zeros before each non-zero
-    escapes = int((runs // per_pair).sum()) + trailing // per_pair
-    pairs = len(nz) + escapes + (trailing % per_pair > 0)
-    return (RL_RUN_BITS + RL_VALUE_BITS) * pairs
+    """Bits :func:`rl_encode` uses, in closed form (see :func:`batch_sizes`)."""
+    return report_for(t).rl_bits
 
 
 # ---------------------------------------------------------------------------
 # comparison
 
 
+def batch_sizes(values: np.ndarray, precision: int = 16) -> dict[str, np.ndarray]:
+    """Raw, SM, CIS and RL bits (int64) and zero fractions of T tensors.
+
+    ``values`` is a (T, c, h, w) array of pixel values or non-zero flags.
+    CIS bits are ``N + precision * nonzeros``, which :func:`cis_bits` gives
+    at the measured sparsity when N < 2**26.  RL bits take one pair per
+    non-zero pixel, one (31, 0) pair per 32 zeros of a run (its value field
+    the 32nd zero) and a flush pair for zeros left over at the end.
+    """
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    count, c, h, w = values.shape
+    n = c * h * w
+    if n * (precision + 1) > np.iinfo(np.int64).max:
+        raise ValidationError(f"precision {precision} overflows 64-bit sizes")
+    # each stream-order row ends in one extra non-zero pixel, so that every
+    # zero run, the trailing one too, is the run before a non-zero pixel
+    flags = np.ones((count, n + 1), dtype=bool)
+    np.not_equal(np.moveaxis(values, -3, -1), 0, out=flags[:, :n].reshape(count, h, w, c))
+    nnz = np.count_nonzero(flags, axis=1) - 1
+    per_pair = RL_MAX_RUN + 1
+    runs = np.diff(np.flatnonzero(flags), prepend=-1) - 1  # zeros before each flag
+    ends = np.cumsum(nnz + 1) - 1  # each row's extra pixel
+    escapes = np.diff(np.cumsum(runs // per_pair)[ends], prepend=0)
+    rl_pairs = nnz + escapes + (runs[ends] % per_pair > 0)
+    return {
+        "raw_bits": np.full(count, n * precision, dtype=np.int64),
+        "sm_bits": SEGMENT_BITS * (row_segments(w, c) * h + nnz),
+        "cis_bits": n + precision * nnz,
+        "rl_bits": (RL_RUN_BITS + RL_VALUE_BITS) * rl_pairs,
+        "sparsity": (n - nnz) / n,
+    }
+
+
 def report_for(t: FeatureMapTensor, precision: int = 16) -> CompressionReport:
-    sp = sparsity(t)
-    return CompressionReport(
-        raw_bits=t.pixel_count * precision,
-        sm_bits=SEGMENT_BITS * field_count_for(t),
-        cis_bits=cis_bits(t.pixel_count, precision, sp),
-        rl_bits=rl_bits(t),
-        sparsity=sp,
-    )
-
-
-def compare_codecs(corpus, precision: int = 16) -> list[CompressionReport]:
-    """Per-tensor raw/SM/RL/CIS sizes for a non-empty corpus."""
-    reports = [report_for(t, precision) for t in corpus]
-    if not reports:
-        raise ValidationError("corpus is empty")
-    return reports
+    sizes = batch_sizes(t.values[None], precision)
+    return CompressionReport(**{key: v.item() for key, v in sizes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +437,7 @@ def save_stream(s: CompressedStream, path: str) -> None:
                 s.word_count, 1 if s.padded else 0,
             )
         )
-        f.write(s.words.astype("<u4").tobytes())
+        f.write(np.ascontiguousarray(s.words, dtype="<u4"))
 
 
 def load_stream(path: str) -> CompressedStream:

@@ -33,7 +33,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -142,18 +142,48 @@ def sparsity(t: FeatureMapTensor) -> float:
     return float(np.count_nonzero(t.values == 0)) / t.pixel_count
 
 
-def _markov_nonzero(
-    n: int, target_sparsity: float, burst_mean: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Non-zero mask of a two-state Markov chain over the flat stream.
+def _markov_rows(
+    u: np.ndarray, target_sparsity: float, burst_mean: float, in_zero
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero states of two-state Markov chains, one over each row of ``u``.
 
     Mean zero-run length ``burst_mean``, stationary zero probability
     ``target_sparsity``.  Step j draws ``u[j]`` and moves from zero to
     ``u[j] >= p_exit_zero`` and from non-zero to ``u[j] < p_enter_zero``.
     Where both give the same state the step resets to it, where only the
     move from non-zero enters zero it toggles, and otherwise it holds; so
-    each state is the last reset (or the incoming state) XOR the parity of
-    the toggles since then.
+    each state is the last reset (or the row's incoming state ``in_zero``)
+    XOR the parity of the toggles since then.  Returns the (rows, n + 1)
+    states, the incoming one first, and which steps reset.
+    """
+    p_exit_zero = min(1.0, 1.0 / burst_mean)
+    s = target_sparsity
+    p_enter_zero = (
+        1.0 if s >= 1.0 else min(1.0, p_exit_zero * s / max(1e-12, 1.0 - s))
+    )
+    rows, n = u.shape
+    a = u >= p_exit_zero
+    b = u < p_enter_zero
+    reset = a == b
+    # a uint8 count wraps at 256, which keeps its parity
+    odd = (np.cumsum(b & ~a, axis=1, dtype=np.uint8) & 1).view(bool)
+    # After a reset at step r the state is a[r], so after step t >= r it is
+    # a[r] ^ odd[r] ^ odd[t] (odd: toggle parity through a step).  Column
+    # r + 1 of zero first holds a ^ odd, read at the last reset; column 0
+    # holds the incoming state, read while no reset has come yet.
+    zero = np.empty((rows, n + 1), dtype=bool)
+    zero[:, 0] = in_zero
+    np.logical_xor(a, odd, out=zero[:, 1:])
+    last = np.where(reset, np.arange(1, n + 1, dtype=np.int32), 0)
+    np.maximum.accumulate(last, axis=1, out=last)
+    zero[:, 1:] = odd ^ np.take_along_axis(zero, last, axis=1)
+    return zero, reset
+
+
+def _markov_nonzero(
+    n: int, target_sparsity: float, burst_mean: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Non-zero mask of a :func:`_markov_rows` chain over the flat stream.
 
     The n uniforms come first and the initial state after them, as in the
     per-pixel chain.  So each ``_CHUNK`` of uniforms is scanned as if it
@@ -162,41 +192,20 @@ def _markov_nonzero(
     and flips the states before that reset wherever a chunk in fact began
     in "zero".
     """
-    p_exit_zero = min(1.0, 1.0 / burst_mean)
-    s = target_sparsity
-    p_enter_zero = (
-        1.0 if s >= 1.0 else min(1.0, p_exit_zero * s / max(1e-12, 1.0 - s))
-    )
     nonzero = np.empty(n, dtype=bool)
     buf = np.empty(min(n, _CHUNK))
-    steps = np.arange(len(buf), dtype=np.int32)
-    # After a reset at step r the state is a[r], so after step t >= r it is
-    # a[r] ^ odd[r] ^ odd[t] (odd: toggle parity through a step).  at_reset
-    # holds a ^ odd, read at the last reset; its extra last entry stays
-    # False, for index -1 when no reset has come yet.
-    at_reset = np.zeros(len(buf) + 1, dtype=bool)
     # per chunk: start, states before its first reset, the state it hands on
     # if it began in "non-zero", and whether that depends on how it began
     chunks = []
     for i in range(0, n, _CHUNK):
         u = buf[: min(_CHUNK, n - i)]
-        size = len(u)
         rng.random(out=u)
-        a = u >= p_exit_zero
-        b = u < p_enter_zero
-        reset = a == b
-        # a uint8 count wraps at 256, which keeps its parity
-        odd = (np.cumsum(b & ~a, dtype=np.uint8) & 1).view(bool)
-        np.logical_xor(a, odd, out=at_reset[:size])
-        last = np.where(reset, steps[:size], -1)
-        np.maximum.accumulate(last, out=last)
-        after = odd ^ at_reset[last]  # in_zero after each step
-        nonzero[i] = True
-        np.logical_not(after[:-1], out=nonzero[i + 1 : i + size])
+        (zero,), (reset,) = _markov_rows(u[None], target_sparsity, burst_mean, False)
+        np.logical_not(zero[:-1], out=nonzero[i : i + len(u)])
         carried = not reset.any()
-        prefix = size if carried else int(np.argmax(reset)) + 1
-        chunks.append((i, prefix, bool(after[-1]), carried))
-    in_zero = rng.random() < s
+        prefix = len(u) if carried else int(np.argmax(reset)) + 1
+        chunks.append((i, prefix, bool(zero[-1]), carried))
+    in_zero = rng.random() < target_sparsity
     for i, prefix, out_zero, carried in chunks:
         if in_zero:
             np.logical_not(nonzero[i : i + prefix], out=nonzero[i : i + prefix])
@@ -243,8 +252,10 @@ def synthetic_tensor(
 
     With ``burst_mean`` set, zeros arrive in runs of that mean length along
     the stream order, mimicking the clustered inactivity of post-ReLU
-    feature maps; otherwise zero positions are i.i.d. uniform.  Non-zero
-    values are uniform in +-[1, 4095].  The values are generated in stream
+    feature maps; otherwise zero positions are i.i.d. uniform.  A Markov
+    stand-in's zero fraction cannot pass ``burst_mean / (burst_mean + 1)``:
+    a higher target is clamped there (0.8 at ``burst_mean=4``, 0.992 at
+    128).  Non-zero values are uniform in +-[1, 4095].  The values are generated in stream
     order, so ``values`` is a (channel, row, column) view of a stream-order
     buffer, not a C-contiguous array.
 
@@ -277,6 +288,39 @@ def synthetic_tensor(
         part *= nonzero[i : i + len(part)]
     values = flat.reshape(height, width, channels).transpose(2, 0, 1)
     return FeatureMapTensor(values, qformat)
+
+
+def synthetic_mask_groups(
+    count: int, channels: int, height: int, width: int, target_sparsity: float,
+    rng: np.random.Generator, burst_mean: Optional[float] = None,
+) -> Iterator[np.ndarray]:
+    """The non-zero masks of ``count`` successive :func:`synthetic_tensor`
+    calls, in (k, channels, height, width) groups of as many trials as fit
+    in ``_CHUNK`` pixels (at least one); ``rng`` ends where those calls
+    leave it.  Each trial makes their generator calls in their order, and
+    one :func:`_markov_rows` scan runs a group's chains, each row from its
+    own initial state.
+    """
+    if not 0.0 <= target_sparsity <= 1.0:
+        raise ValidationError("sparsity must be in [0, 1]")
+    _check_shape(channels, height, width)
+    n = channels * height * width
+    group = max(1, _CHUNK // n)
+    for start in range(0, count, group):
+        k = min(group, count - start)
+        u = np.empty((k, n))
+        in_zero = np.zeros(k, dtype=bool)
+        for t in range(k):
+            rng.random(out=u[t])  # the words of the chunked draw
+            if burst_mean is not None:
+                in_zero[t] = rng.random() < target_sparsity
+            rng.integers(1, _VALUE_HIGH, size=n, dtype=np.int16)  # the values
+            rng.integers(0, 2, size=n, dtype=np.int16)  # and their signs
+        if burst_mean is None:
+            nonzero = u >= target_sparsity
+        else:
+            nonzero = ~_markov_rows(u, target_sparsity, burst_mean, in_zero)[0][:, :-1]
+        yield nonzero.reshape(k, height, width, channels).transpose(0, 3, 1, 2)
 
 
 class NonzeroMask(np.ndarray):

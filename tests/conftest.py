@@ -10,6 +10,8 @@ oracles walk pixels and fields one at a time.  :func:`reference_encode`,
 :func:`reference_iter_rows` and :func:`reference_synthetic_tensor` keep the
 row-by-row encoder, the bit-by-bit decoder and the per-pixel generator that
 the vectorised codec and generator must reproduce bit for bit.
+:func:`reference_compare_codecs_rows` is the per-tensor codec sweep that
+the batched draw and sizes of ``compare_codecs_cmd`` replaced.
 :func:`reference_conv2d` is the int64 ``tensordot`` convolution that the
 float64 matmul oracle in :mod:`nhsim.refmodel` replaced.
 :func:`stats_cases` draws the random layers and hardware points of the
@@ -33,7 +35,14 @@ from nhsim import codec
 from nhsim.accel import HardwareConfig
 from nhsim.codec import CompressedStream, StreamError
 from nhsim.fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN, QFormat
-from nhsim.netmodel import FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError
+from nhsim.netmodel import (
+    FeatureMapTensor,
+    KernelSet,
+    LayerDescriptor,
+    ValidationError,
+    sparsity,
+    synthetic_tensor,
+)
 
 
 def saturate16(raw: int) -> int:
@@ -289,6 +298,37 @@ def reference_synthetic_tensor(
     flat = np.where(mask, vals * signs, 0).astype(np.int16)
     shaped = flat.reshape(height, width, channels).transpose(2, 0, 1)
     return FeatureMapTensor(np.ascontiguousarray(shaped), qformat)
+
+
+def reference_compare_codecs_rows(
+    sweep: list[float], precision: int, trials: int, seed: int, burst_mean: float = 128.0
+) -> list[dict]:
+    """The rows of :func:`nhsim.cli.compare_codecs_cmd` from one
+    ``synthetic_tensor`` a trial, each sized on its own by ``encode``,
+    ``rl_encode`` and ``cis_bits`` at its measured sparsity."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for sp in sweep:
+        tensors = [
+            synthetic_tensor(2, 24, 24, sp, rng, burst_mean=burst_mean) for _ in range(trials)
+        ]
+        raw = float(np.mean([t.pixel_count * precision for t in tensors]))
+        sm = float(np.mean([codec.SEGMENT_BITS * codec.encode(t).field_count for t in tensors]))
+        rl = float(np.mean([codec.rl_encode(t)[0] for t in tensors]))
+        cis = float(np.mean(
+            [codec.cis_bits(t.pixel_count, precision, sparsity(t)) for t in tensors]
+        ))
+        rows.append({
+            "label": f"{sp:.4f}",
+            "sparsity": float(np.mean([sparsity(t) for t in tensors])),
+            "raw_bits": raw,
+            "sm_bits": sm,
+            "rl_bits": rl,
+            "cis_bits": cis,
+            "sm_ratio": sm / raw,
+            "rl_ratio": rl / raw,
+        })
+    return rows
 
 
 def reference_conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int) -> np.ndarray:

@@ -88,6 +88,22 @@ MUTANTS = [
         "",
         "tests/test_refmodel.py::TestPoolRelu::test_equals_per_window_loop",
     ),
+    (
+        # a batch of stand-ins draws each row's initial state but starts
+        # every row in "non-zero"
+        "src/nhsim/netmodel.py",
+        "                in_zero[t] = rng.random() < target_sparsity\n",
+        "                rng.random()\n",
+        "tests/test_netmodel.py::TestSyntheticMaskGroups::test_every_bit_generator",
+    ),
+    (
+        # the batched run-length sizes count one escape pair per 31 zeros of
+        # a run instead of per 32
+        "src/nhsim/codec.py",
+        "runs // per_pair",
+        "runs // (per_pair - 1)",
+        "tests/test_codec.py::TestBatchSizes::test_matches_per_tensor_codecs",
+    ),
 ]
 
 

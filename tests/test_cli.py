@@ -523,6 +523,8 @@ class TestNumericFlags:
         (["compare-codecs", "--precision=0"], "--precision must be at least 1"),
         (["compare-codecs", "--trials=-1"], "--trials must be at least 0"),
         (["compare-codecs", "--trials=0"], "corpus is empty"),
+        (["compare-codecs", "--precision=4611686018427387904", "--trials=1"],
+         "overflows 64-bit sizes"),
         (["selfcheck", "--trials=-3"], "--trials must be at least 0"),
         (["selfcheck", "--seed=-1"], "--seed must be at least 0"),
     ], ids=lambda case: " ".join(case[0]))

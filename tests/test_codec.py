@@ -1,3 +1,5 @@
+import io
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     iter_nonzero,
+    random_tensor,
+    reference_compare_codecs_rows,
     reference_decode,
     reference_encode,
     rl_decode,
@@ -14,11 +18,12 @@ from conftest import (
     stream_order_iter,
 )
 from nhsim import codec, netmodel
+from nhsim.cli import compare_codecs_cmd
 from nhsim.codec import (
     CompressedStream,
     StreamError,
+    batch_sizes,
     cis_bits,
-    compare_codecs,
     decode,
     decode_raw,
     encode,
@@ -413,24 +418,116 @@ class TestRunLengthSize:
 
     def test_report_uses_closed_form(self, rng):
         t = netmodel.synthetic_tensor(2, 24, 24, 0.8, rng, burst_mean=40.0)
-        (r,) = compare_codecs([t])
-        assert r.rl_bits == rl_encode(t)[0]
+        assert codec.report_for(t).rl_bits == rl_encode(t)[0]
 
 
 class TestCompare:
     def test_report_fields_consistent(self, rng):
         t = netmodel.synthetic_tensor(2, 8, 16, 0.5, rng)
-        (r,) = compare_codecs([t])
+        r = codec.report_for(t)
         assert r.raw_bits == t.pixel_count * 16
         assert r.sm_bits >= r.cis_bits
         assert 0.0 <= r.sparsity <= 1.0
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            compare_codecs([])
+        out = io.StringIO()
+        with pytest.raises(netmodel.ValidationError, match="corpus is empty"):
+            compare_codecs_cmd([], corpus=[], file=out)
+        assert out.getvalue() == ""
+
+
+class TestBatchSizes:
+    """One size formula over a batch, against the encoders one tensor at a time."""
+
+    @staticmethod
+    def assert_sizes_match_codecs(ts, precision=16):
+        values = np.stack([t.values for t in ts])
+        for given in (values, values != 0):
+            sizes = batch_sizes(given, precision)
+            assert all(len(v) == len(ts) for v in sizes.values())
+            assert sizes["sparsity"].dtype == np.float64
+            for key in ("raw_bits", "sm_bits", "cis_bits", "rl_bits"):
+                assert sizes[key].dtype == np.int64
+            for i, t in enumerate(ts):
+                sp = netmodel.sparsity(t)
+                assert sizes["raw_bits"][i] == t.pixel_count * precision
+                assert sizes["sm_bits"][i] == codec.SEGMENT_BITS * encode(t).field_count
+                assert sizes["rl_bits"][i] == rl_encode(t)[0]
+                assert sizes["cis_bits"][i] == cis_bits(t.pixel_count, precision, sp)
+                assert sizes["sparsity"][i] == sp
+
+    @pytest.mark.parametrize("precision", [1, 8, 16])
+    def test_matches_per_tensor_codecs(self, rng, precision):
+        for c, h, w in [(1, 1, 1), (2, 24, 24), (3, 5, 7), (16, 3, 40)]:
+            ts = [
+                FeatureMapTensor(np.zeros((c, h, w), dtype=np.int16), QFormat(8)),
+                FeatureMapTensor(np.full((c, h, w), -3, dtype=np.int16), QFormat(8)),
+            ]
+            for sp in (0.3, 0.82, 0.97):
+                ts.append(netmodel.synthetic_tensor(c, h, w, sp, rng))
+                ts.append(netmodel.synthetic_tensor(c, h, w, sp, rng, burst_mean=40.0))
+            ts.append(random_tensor(rng, c, h, w, sparsity=float(rng.random())))
+            rng.shuffle(ts)  # zero runs on both sides of each row boundary
+            self.assert_sizes_match_codecs(ts, precision)
+            assert len(batch_sizes(np.zeros((0, c, h, w), dtype=bool))["rl_bits"]) == 0
+
+    def test_zero_runs_around_the_escape(self):
+        # a row ends in 31, 32 or 33 zeros (or none), and the next row starts
+        # with zeros: no run crosses the rows
+        w = 120
+        rows = []
+        for lead in (0, 1, 31, 32, 33, 64, 65):
+            for trail in (0, 31, 32, 33):
+                flat = [0] * lead + [5] + [0] * (w - lead - 2 - trail) + [-7] + [0] * trail
+                rows.append(tensor(flat, 1, 1, w))
+        rows += [tensor([0] * w, 1, 1, w), tensor([1] * w, 1, 1, w)]
+        self.assert_sizes_match_codecs(rows)
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 1152])
+    def test_cis_model_is_the_integer_count(self, n):
+        # limit_denominator(n) recovers z / n exactly, so the float model
+        # gives the closed form at every measured zero fraction
+        for precision in (1, 8, 16):
+            for z in range(n + 1):
+                assert cis_bits(n, precision, z / n) == n + precision * (n - z)
+
+    def test_per_tensor_sizes_route_through_the_batch(self, rng):
+        t = netmodel.synthetic_tensor(3, 5, 7, 0.6, rng, burst_mean=8.0)
+        sizes = batch_sizes(t.values[None], 12)
+        report = codec.report_for(t, 12)
+        assert report == codec.CompressionReport(**{k: v[0] for k, v in sizes.items()})
+        assert type(report.rl_bits) is int and type(report.sparsity) is float
+        assert field_count_for(t) * codec.SEGMENT_BITS == sizes["sm_bits"][0]
+        assert rl_bits(t) == sizes["rl_bits"][0]
+
+    def test_precision_past_int64_rejected(self):
+        with pytest.raises(netmodel.ValidationError, match="overflows 64-bit sizes"):
+            batch_sizes(np.ones((1, 2, 24, 24), dtype=bool), 1 << 62)
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            batch_sizes(np.ones((1, 1, 1, 1), dtype=bool), 0)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_sweep_rows_match_per_tensor_reference(self, seed):
+        # 1, 55 and 113 trials: a group of one, one short of a full group of
+        # 56, and two full groups and one trial more
+        points = [0.0, 0.3, 0.82, 1.0]
+        for trials, burst_mean in [(1, 128.0), (55, 4.0), (113, 128.0)]:
+            rows = compare_codecs_cmd(
+                points, 16, trials, seed, burst_mean=burst_mean, file=io.StringIO()
+            )
+            assert rows == reference_compare_codecs_rows(points, 16, trials, seed, burst_mean)
 
 
 class TestContainer:
+    @pytest.mark.parametrize("flat", [[0, 0, -4, 0, 0, 8] + [0] * 10, [7] * 5 + [0] * 11])
+    def test_saved_bytes(self, tmp_path, flat):
+        # 3 fields (odd, one pad field) and 6 fields (even)
+        s = encode(tensor(flat, 1, 1, 16, frac=5))
+        path = tmp_path / "s.nhc"
+        save_stream(s, str(path))
+        header = struct.pack("<HHHBIB", 1, 1, 16, 5, s.word_count, int(s.padded))
+        assert path.read_bytes() == b"NHC1" + header + s.words.astype("<u4").tobytes()
+
     def test_stream_file_roundtrip_odd_fields(self, rng, tmp_path):
         flat = [0] * 16
         flat[2] = -4

@@ -314,6 +314,97 @@ class TestSyntheticMask:
             netmodel.synthetic_mask(1, 4, 4, -0.1, rng)
 
 
+SPARSITIES = [0.0, 1.0, 0.3, 0.82, 0.999]
+
+
+class TestSyntheticMaskGroups:
+    """``synthetic_mask_groups`` against successive ``synthetic_tensor`` calls."""
+
+    @staticmethod
+    def group_size(shape) -> int:
+        return max(1, netmodel._CHUNK // int(np.prod(shape)))
+
+    @staticmethod
+    def assert_groups_match_tensors(
+        bit_generator, count, shape, sp, burst_mean, seed=1, drawn=0
+    ):
+        """``drawn`` words go first, so an odd count leaves a half kept."""
+        tensor_rng = np.random.Generator(bit_generator(seed))
+        group_rng = np.random.Generator(bit_generator(seed))
+        for r in (tensor_rng, group_rng):
+            r.integers(0, 1 << 32, size=drawn, dtype=np.uint32)
+        want = [
+            netmodel.synthetic_tensor(*shape, sp, tensor_rng, burst_mean=burst_mean).values != 0
+            for _ in range(count)
+        ]
+        groups = list(
+            netmodel.synthetic_mask_groups(count, *shape, sp, group_rng, burst_mean)
+        )
+        limit = TestSyntheticMaskGroups.group_size(shape)
+        assert all(g.dtype == bool and 1 <= len(g) <= limit for g in groups)
+        got = np.concatenate(groups) if groups else np.zeros((0, *shape), dtype=bool)
+        assert got.shape == (count, *shape)
+        assert np.array_equal(got, np.array(want).reshape(got.shape))
+        assert same_state(group_rng.bit_generator.state, tensor_rng.bit_generator.state)
+        assert group_rng.random() == tensor_rng.random()
+
+    @pytest.mark.parametrize("burst_mean", [None, 0.5, 1.0, 16.0, 128.0])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_every_bit_generator(self, bit_generator, burst_mean):
+        # compare-codecs' stand-in shape: 56 trials a group
+        shape = (2, 24, 24)
+        g = self.group_size(shape)
+        assert g == 56
+        for seed, sp in enumerate(SPARSITIES):
+            for count in (1, 2, g - 1, g, g + 1):
+                self.assert_groups_match_tensors(
+                    bit_generator, count, shape, sp, burst_mean, seed
+                )
+
+    @pytest.mark.parametrize("drawn", [1, 3])
+    @pytest.mark.parametrize("burst_mean", [None, 16.0])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_words_drawn_before_the_call(self, bit_generator, burst_mean, drawn):
+        # the first trial starts with a half kept by a 64-bit generator
+        for seed, (shape, count) in enumerate([((1, 1, 1), 3), ((7, 1, 1), 2),
+                                               ((5, 33, 17), 24)]):
+            self.assert_groups_match_tensors(
+                bit_generator, count, shape, 0.82, burst_mean, seed, drawn=drawn
+            )
+
+    @pytest.mark.parametrize("burst_mean", [None, 0.5, 16.0])
+    @pytest.mark.parametrize("chunk", [2, 6, 64])
+    def test_trials_spanning_chunks(self, monkeypatch, chunk, burst_mean):
+        # a trial of more than _CHUNK pixels is a group of one, scanned whole
+        # where synthetic_tensor scans it chunk by chunk
+        monkeypatch.setattr(netmodel, "_CHUNK", chunk)
+        for shape in [(1, 1, 1), (3, 1, 1), (2, 3, 5), (5, 5, 5)]:
+            g = self.group_size(shape)
+            for seed, sp in enumerate(SPARSITIES):
+                for count in sorted({1, 2, g - 1, g, g + 1} - {0}):
+                    self.assert_groups_match_tensors(
+                        np.random.PCG64, count, shape, sp, burst_mean, seed, drawn=seed % 2
+                    )
+
+    def test_zero_trials_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert list(netmodel.synthetic_mask_groups(0, 2, 24, 24, 0.5, rng, 128.0)) == []
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize(
+        "shape, sp, message",
+        [((0, 4, 4), 0.5, "channels"), ((1, 513, 1), 0.5, "dims"),
+         ((2, 4, 4), 1.5, "sparsity")],
+    )
+    def test_rejects_before_drawing(self, shape, sp, message):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=message):
+            next(netmodel.synthetic_mask_groups(2, *shape, sp, rng, 16.0))
+        assert rng.bit_generator.state == before
+
+
 class TestTensorLimits:
     def test_channel_cap(self):
         with pytest.raises(ValidationError):
