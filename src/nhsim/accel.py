@@ -2,11 +2,11 @@
 
 Functionally the simulator is bit-exact with :mod:`nhsim.refmodel`; its
 timing is a transaction-level phase model, not an RTL-cycle reproduction.
-The functional pipeline evaluates each run of passes with one cluster size
-over blocks of consecutive stripes, one float64 matrix product per cluster
-and block, and reads out in float64 too: it pools the raw accumulators
-first, then adds the bias, clamps to 32 bits, requantizes and applies ReLU.
-Both steps are exact (see :func:`_forward_pipeline`).
+The functional pipeline evaluates blocks of stripes with float64 matrix
+products sized for BLAS, not by the MAC clusters, and reads out in float64
+too: it pools the raw accumulators first, then adds the bias, clamps to 32
+bits, requantizes and applies ReLU.  Both steps are exact, so the order of
+the additions cannot show (see :func:`_forward_pipeline`).
 Per pass over the input feature maps:
 
     cycles = kernel_load + prefill + max(compute, input_stream, output_drain)
@@ -42,7 +42,6 @@ and the output field count.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -372,39 +371,48 @@ def _layer_stats(
 # functional pipeline
 
 
-# bytes of one cluster's tap matrix (or of the accumulator, if larger) per
-# GEMM: a block spans as many stripes as fit, and always at least one
+# A block spans the stripes whose accumulator (or tap matrix over all input
+# channels, if larger) fits _BLOCK_BYTES, but at least _MIN_COLUMNS columns;
+# its input-channel ranges' tap matrices fit too, but are at least _MIN_DEPTH deep.
 _BLOCK_BYTES = 4 << 20
+_MIN_COLUMNS = 1024
+_MIN_DEPTH = 1024
 
 
 def _forward_pipeline(
-    in_values: np.ndarray,
-    kern: KernelSet,
-    layer: LayerDescriptor,
-    schedule: LayerSchedule,
+    in_values: np.ndarray, kern: KernelSet, layer: LayerDescriptor
 ) -> FeatureMapTensor:
-    """Bit-exact stripe/cluster evaluation of one layer.
+    """Bit-exact blocked evaluation of one layer.
 
-    Input channels are dealt round-robin to the cooperating clusters; each
-    cluster accumulates exact partial sums for its stripes (double output
-    rows), the reduction adds them (bias lives in cluster 0 only, so it is added
-    once), and the 32-bit clamp happens at readout.  Consecutive passes
-    with one cluster size deal the input channels alike, so they are
-    evaluated together, and consecutive stripes are evaluated in blocks:
-    each cluster builds one tap matrix per block, up to ``_BLOCK_BYTES``,
-    and one matrix product serves all of the block's stripes and all of
-    those passes' output channels.  Readout stays in float64 and pools
-    before it requantizes, which gives the same int16 values as
+    Blocks of consecutive stripes (double output rows) start on even rows,
+    so pooling pairs stay in one block.  Per block, each input-channel range
+    copies its taps from the int16 padded input into one reused float64
+    matrix; the first range's product with every output channel's weights
+    fills the accumulator and later ranges add theirs.  The 32-bit clamp
+    happens at readout.  The hardware splits the same sums differently,
+    over cooperating clusters that each hold some input channels, but every
+    partial sum is an integer that float64 holds exactly, so no order of
+    the additions can show in the output.  Readout stays in float64 and
+    pools before it requantizes, which gives the same int16 values as
     requantizing every pixel and pooling after.
     """
     k, pad = layer.k, layer.pad
     out_h, out_w = layer.conv_h, layer.conv_w
-    n_in = layer.n_in
+    n_in, n_out, kk = layer.n_in, layer.n_out, layer.k * layer.k
+    stripe_bytes = max(n_in * kk, n_out) * 2 * out_w * 8
+    block_rows = 2 * max(-(-_MIN_COLUMNS // (2 * out_w)), _BLOCK_BYTES // stripe_bytes)
+    cols = min(block_rows, out_h) * out_w
+    chans = min(n_in, max(-(-_MIN_DEPTH // kk), _BLOCK_BYTES // (kk * cols * 8)))
+    padded = np.zeros((n_in, layer.h + 2 * pad, layer.w + 2 * pad), dtype=np.int16)
+    padded[:, pad : pad + layer.h, pad : pad + layer.w] = in_values
     # float64 holds every partial sum exactly: weights and activations are
     # validated int16, so |products| <= 2**30, and a layer sums at most
-    # MAX_CHANNELS * MAX_KERNEL**2 = 50,176 of them, so |acc| < 2**46 < 2**53
-    padded = np.zeros((n_in, layer.h + 2 * pad, layer.w + 2 * pad), dtype=np.float64)
-    padded[:, pad : pad + layer.h, pad : pad + layer.w] = in_values
+    # MAX_CHANNELS * MAX_KERNEL**2 = 50,176 of them, so |acc| < 2**46 < 2**53.
+    # A layer cut into ranges casts one range's weights at a time, which
+    # keeps a deep layer's float64 weights out of its peak memory.
+    weights = kern.weights.reshape(n_out, n_in * kk)
+    if chans == n_in:
+        weights = weights.astype(np.float64)
     # Readout in float64 is exact too.  Adding an int32 bias keeps the sum an
     # integer below 2**47; the clamp leaves it in the int32 range; scaling
     # by a power of two in [2**-30, 2**15] only moves the exponent; np.rint
@@ -417,46 +425,38 @@ def _forward_pipeline(
     scale = 2.0 ** (layer.frac_out - layer.acc_frac)
     floor = 0 if layer.relu else I16_MIN
     out = np.zeros(layer.out_shape, dtype=np.int16)
-    # passes split only the output channels, so a run of consecutive passes
-    # with one cluster size covers one contiguous channel range
-    for v, run in itertools.groupby(schedule.passes, key=lambda p: p.cluster_size):
-        run = list(run)
-        lo, hi = run[0].chan_start, run[-1].chan_start + run[-1].chan_count
-        # cluster rc holds input channels rc, rc + v, ...; idle when rc >= n_in
-        clusters = [
-            (
-                padded[rc::v],
-                kern.weights[lo:hi, rc::v].reshape(hi - lo, -1).astype(np.float64),
-            )
-            for rc in range(min(v, n_in))
-        ]
-        # blocks start on even rows so that pooling pairs stay in one block;
-        # the budget bounds the accumulator as well as the tap matrix
-        stripe_bytes = max(clusters[0][1].shape[1], hi - lo) * 2 * out_w * 8
-        block_rows = 2 * max(1, _BLOCK_BYTES // stripe_bytes)
-        for r0 in range(0, out_h, block_rows):
-            nrows = min(block_rows, out_h - r0)
-            acc = np.zeros((hi - lo, nrows * out_w), dtype=np.float64)
-            for xs, wt in clusters:
-                taps = np.lib.stride_tricks.sliding_window_view(
-                    xs[:, r0 : r0 + nrows + k - 1, :], (nrows, out_w), axis=(1, 2)
-                )  # (n_chans, k, k, nrows, out_w)
-                acc += wt @ taps.reshape(-1, nrows * out_w)
-            acc = acc.reshape(hi - lo, nrows, out_w)
-            if layer.pool:
-                # floor pooling drops a trailing odd row and column
-                h2, w2 = nrows // 2, out_w // 2
-                acc = np.maximum(acc[:, 0 : 2 * h2 : 2], acc[:, 1 : 2 * h2 : 2])
-                acc = np.maximum(acc[:, :, 0 : 2 * w2 : 2], acc[:, :, 1 : 2 * w2 : 2])
-                rows = slice(r0 // 2, r0 // 2 + h2)
+    tap_buf = np.empty(chans * kk * cols)
+    acc_buf = np.empty(n_out * cols)
+    for r0 in range(0, out_h, block_rows):
+        nrows = min(block_rows, out_h - r0)
+        acc = acc_buf[: n_out * nrows * out_w].reshape(n_out, nrows * out_w)
+        for c0 in range(0, n_in, chans):
+            c1 = min(c0 + chans, n_in)
+            taps = tap_buf[: (c1 - c0) * kk * nrows * out_w].reshape(-1, nrows * out_w)
+            windows = np.lib.stride_tricks.sliding_window_view(
+                padded[c0:c1, r0 : r0 + nrows + k - 1], (nrows, out_w), axis=(1, 2)
+            )  # (c1 - c0, k, k, nrows, out_w)
+            np.copyto(taps.reshape(windows.shape), windows)
+            w = weights[:, c0 * kk : c1 * kk].astype(np.float64, copy=False)
+            if c0 == 0:
+                np.matmul(w, taps, out=acc)
             else:
-                rows = slice(r0, r0 + nrows)
-            acc += bias[lo:hi]
-            np.clip(acc, I32_MIN, I32_MAX, out=acc)
-            acc *= scale
-            np.rint(acc, out=acc)
-            np.clip(acc, floor, I16_MAX, out=acc)
-            out[lo:hi, rows] = acc
+                acc += w @ taps
+        acc = acc.reshape(n_out, nrows, out_w)
+        if layer.pool:
+            # floor pooling drops a trailing odd row and column
+            h2, w2 = nrows // 2, out_w // 2
+            acc = np.maximum(acc[:, 0 : 2 * h2 : 2], acc[:, 1 : 2 * h2 : 2])
+            acc = np.maximum(acc[:, :, 0 : 2 * w2 : 2], acc[:, :, 1 : 2 * w2 : 2])
+            rows = slice(r0 // 2, r0 // 2 + h2)
+        else:
+            rows = slice(r0, r0 + nrows)
+        acc += bias
+        np.clip(acc, I32_MIN, I32_MAX, out=acc)
+        acc *= scale
+        np.rint(acc, out=acc)
+        np.clip(acc, floor, I16_MAX, out=acc)
+        out[:, rows] = acc
     return FeatureMapTensor(out, layer.out_qformat)
 
 
@@ -548,7 +548,7 @@ def simulate_layer(
         schedule = plan_layer(layer, hw)
     else:
         _check_schedule(layer, schedule)
-    out_tensor = _forward_pipeline(in_tensor.values, kern, layer, schedule)
+    out_tensor = _forward_pipeline(in_tensor.values, kern, layer)
     stats = _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw, trace)
     return SimResult(tensor=out_tensor, stats=stats, layer=layer)
 

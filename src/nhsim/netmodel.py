@@ -738,8 +738,7 @@ def load_weights(path: str) -> KernelSet:
     expected = 11 + 2 * n_w + 4 * n_out
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
+    # astype copies, so the arrays are writable and do not share the blob
     w = np.frombuffer(blob, dtype="<i2", offset=11, count=n_w).astype(np.int16)
     b = np.frombuffer(blob, dtype="<i4", offset=11 + 2 * n_w).astype(np.int32)
-    return KernelSet(
-        w.reshape(n_out, n_in, k, k).copy(), b.copy(), QFormat(check_frac_bits(path, frac))
-    )
+    return KernelSet(w.reshape(n_out, n_in, k, k), b, QFormat(check_frac_bits(path, frac)))

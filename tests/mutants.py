@@ -34,7 +34,7 @@ MUTANTS = [
     ),
     (
         "src/nhsim/accel.py",
-        "            np.clip(acc, I32_MIN, I32_MAX, out=acc)\n",
+        "        np.clip(acc, I32_MIN, I32_MAX, out=acc)\n",
         "",
         "tests/test_accel.py::TestPipelineProperties::"
         "test_int32_clamp_decides_a_wide_right_shift",
@@ -46,11 +46,21 @@ MUTANTS = [
         "tests/test_codec.py::TestDecode::test_truncated_stream_promising_pixels",
     ),
     (
-        # the bias once per cooperating cluster instead of once per channel
+        # a later input-channel range overwrites the accumulator instead of
+        # adding to it
         "src/nhsim/accel.py",
-        "            acc += bias[lo:hi]\n",
-        "            acc += len(clusters) * bias[lo:hi]\n",
-        "tests/test_accel.py::TestFunctionalEquivalence::test_layer_shapes_match_oracle",
+        "                acc += w @ taps\n",
+        "                acc[...] = w @ taps\n",
+        "tests/test_accel.py::TestPipelineProperties::test_blocks_match_oracle",
+    ),
+    (
+        # blocks of an odd number of rows, so a block can start on an odd
+        # row and split a pooling pair
+        "src/nhsim/accel.py",
+        "    block_rows = 2 * max(",
+        "    block_rows = -1 + 2 * max(",
+        "tests/test_accel.py::TestPipelineProperties::"
+        "test_one_stripe_and_one_channel_per_product",
     ),
     (
         # four pixels a cycle out of a raw layer, while its trace moves two

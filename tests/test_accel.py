@@ -233,7 +233,7 @@ class TestFunctionalEquivalence:
             # bank groups of 2 (84*7*7 values > 4096): 33 then 32 channels
             (LayerDescriptor(n_in=84, n_out=65, h=6, w=7, k=7, pad=3, pool=True,
                              frac_in=2, frac_w=13, frac_out=9), [3, 4]),
-            # three passes of one cluster size, evaluated as one run
+            # three passes of one cluster size
             (LayerDescriptor(n_in=3, n_out=300, h=7, w=7, k=3, pad=1, pool=True,
                              frac_in=0, frac_w=1, frac_out=12), [1, 1, 1]),
         ],
@@ -279,32 +279,53 @@ def extreme_case(rng, layer, mag_x=15, mag_w=15, mag_b=31):
     )
 
 
+random_layers = given(
+    k=st.sampled_from([1, 3, 5, 7]), pad=st.integers(0, 3),
+    conv_h=st.integers(1, 13), conv_w=st.integers(1, 13),
+    n_in=st.integers(1, 12), n_out=st.integers(1, 40),
+    fracs=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15)),
+    mags=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 31)),
+    relu=st.booleans(), pool=st.booleans(), seed=st.integers(0, 2**32 - 1),
+)
+
+
+def check_random_layer(k, pad, conv_h, conv_w, n_in, n_out, fracs, mags, relu, pool, seed):
+    """An extreme case of the drawn layer through the pipeline and the oracle."""
+    pad = min(pad, (conv_h + k - 2) // 2, (conv_w + k - 2) // 2)
+    pool = pool and conv_h >= 2 and conv_w >= 2
+    frac_in, frac_w, frac_out = fracs
+    layer = LayerDescriptor(
+        n_in=n_in, n_out=n_out, h=conv_h + k - 1 - 2 * pad, w=conv_w + k - 1 - 2 * pad,
+        k=k, pad=pad, relu=relu, pool=pool,
+        frac_in=frac_in, frac_w=frac_w, frac_out=frac_out,
+    )
+    t, kern = extreme_case(np.random.default_rng(seed), layer, *mags)
+    sim = simulate_layer(t, kern, layer)
+    assert np.array_equal(sim.tensor.values, refmodel.layer_forward(t, layer, kern).values)
+
+
 class TestPipelineProperties:
     """The pipeline's float64 readout (pool first, then bias, clamp,
     requantize and ReLU) against the oracle's int64 readout."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        k=st.sampled_from([1, 3, 5, 7]), pad=st.integers(0, 3),
-        conv_h=st.integers(1, 13), conv_w=st.integers(1, 13),
-        n_in=st.integers(1, 12), n_out=st.integers(1, 40),
-        fracs=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15)),
-        mags=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 31)),
-        relu=st.booleans(), pool=st.booleans(), seed=st.integers(0, 2**32 - 1),
-    )
+    @random_layers
     def test_matches_oracle(self, k, pad, conv_h, conv_w, n_in, n_out, fracs, mags,
                             relu, pool, seed):
-        pad = min(pad, (conv_h + k - 2) // 2, (conv_w + k - 2) // 2)
-        pool = pool and conv_h >= 2 and conv_w >= 2
-        frac_in, frac_w, frac_out = fracs
-        layer = LayerDescriptor(
-            n_in=n_in, n_out=n_out, h=conv_h + k - 1 - 2 * pad, w=conv_w + k - 1 - 2 * pad,
-            k=k, pad=pad, relu=relu, pool=pool,
-            frac_in=frac_in, frac_w=frac_w, frac_out=frac_out,
-        )
-        t, kern = extreme_case(np.random.default_rng(seed), layer, *mags)
-        sim = simulate_layer(t, kern, layer)
-        assert np.array_equal(sim.tensor.values, refmodel.layer_forward(t, layer, kern).values)
+        check_random_layer(k, pad, conv_h, conv_w, n_in, n_out, fracs, mags, relu, pool, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @random_layers
+    def test_one_stripe_and_one_channel_per_product(self, k, pad, conv_h, conv_w, n_in,
+                                                    n_out, fracs, mags, relu, pool, seed):
+        # with no budget and floors of one, every block is one stripe and
+        # every channel range one input channel
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(accel, "_BLOCK_BYTES", 0)
+            mp.setattr(accel, "_MIN_COLUMNS", 1)
+            mp.setattr(accel, "_MIN_DEPTH", 1)
+            check_random_layer(k, pad, conv_h, conv_w, n_in, n_out, fracs, mags, relu,
+                               pool, seed)
 
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("pool", [False, True])
@@ -340,31 +361,38 @@ class TestPipelineProperties:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize(
         "stripes, blocks",
-        # 11 conv rows in blocks of two stripes, or of one: the last block
-        # holds the odd row, which pooling drops
-        [(2, [4, 4, 3]), (0, [2, 2, 2, 2, 2, 1])],
+        # 11 conv rows, as (rows, input channels of each range) per block.
+        # A budget of two stripes takes all 5 channels in one range; with
+        # none, a block is one stripe and the reduction is cut at the depth
+        # floor of 2 channels, leaving a short last range.  The last block
+        # holds the odd row, which pooling drops.
+        [
+            (2, [(4, [5]), (4, [5]), (3, [5])]),
+            (0, [(rows, [2, 2, 1]) for rows in (2, 2, 2, 2, 2, 1)]),
+        ],
     )
     def test_blocks_match_oracle(self, rng, monkeypatch, k, stripes, blocks):
         layer = LayerDescriptor(
-            n_in=5, n_out=1, h=11, w=9, k=k, pad=(k - 1) // 2, pool=True,
+            n_in=5, n_out=3, h=11, w=9, k=k, pad=(k - 1) // 2, pool=True,
             frac_in=6, frac_w=12, frac_out=10,
         )
-        # one output channel: 128 clusters, so each of the 5 active ones
-        # holds one input channel and a k*k-row tap matrix
-        assert plan_layer(layer, HW).passes[0].cluster_size == 128
-        stripe_bytes = layer.k * layer.k * 2 * layer.conv_w * 8
+        # a stripe's tap matrix over all input channels, which is larger
+        # than its accumulator
+        stripe_bytes = layer.n_in * k * k * 2 * layer.conv_w * 8
         monkeypatch.setattr(accel, "_BLOCK_BYTES", stripes * stripe_bytes)
-        rows = []
+        monkeypatch.setattr(accel, "_MIN_COLUMNS", 1)
+        monkeypatch.setattr(accel, "_MIN_DEPTH", 2 * k * k)
+        products = []
         real = np.lib.stride_tricks.sliding_window_view
 
         def spy(x, window_shape, axis):
-            rows.append(window_shape[0])
+            products.append((window_shape[0], x.shape[0]))
             return real(x, window_shape, axis=axis)
 
         monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", spy)
         t, kern = extreme_case(rng, layer, mag_x=10, mag_w=10, mag_b=20)
         got = simulate_layer(t, kern, layer).tensor.values
-        assert rows[::5] == blocks
+        assert products == [(rows, c) for rows, chans in blocks for c in chans]
         assert np.array_equal(got, refmodel.layer_forward(t, layer, kern).values)
 
 

@@ -535,6 +535,26 @@ class TestFileRoundtrips:
         assert np.array_equal(back.bias, k.bias)
         assert back.qformat == k.qformat
 
+    def test_loaded_weights_own_their_memory(self, rng, tmp_path):
+        # the arrays are fresh copies: writable, and not views of the bytes
+        # read from the file
+        k = KernelSet(
+            rng.integers(-1000, 1000, size=(4, 2, 3, 3)).astype(np.int16),
+            rng.integers(-1000, 1000, size=4).astype(np.int32),
+            QFormat(8),
+        )
+        path = str(tmp_path / "w.nhw")
+        save_weights(k, path)
+        back = load_weights(path)
+        for a in (back.weights, back.bias):
+            assert a.flags.writeable
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            assert a.base is None and a.flags.owndata
+        back.weights[0, 0, 0, 0] += 1
+        back.bias[0] += 1
+        assert np.array_equal(load_weights(path).weights, k.weights)
+
     def test_tensor_bad_magic(self, tmp_path):
         p = tmp_path / "bad.nht"
         p.write_bytes(b"XXXX" + b"\x00" * 16)
