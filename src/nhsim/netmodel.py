@@ -44,9 +44,9 @@ MAX_DIM = 512
 MAX_KERNEL = 7
 MAX_PAD = 3
 
-# pixels per block of the synthetic stand-ins' mask and sign draws; must be even
+# pixels per block of the synthetic stand-ins' uniform draws
 _CHUNK = 65536
-# non-zero stand-in values are uniform in +-[1, _VALUE_HIGH)
+# non-zero stand-in values are uniform on +-[1, _VALUE_HIGH]
 _VALUE_HIGH = 1 << 12
 
 
@@ -158,9 +158,12 @@ def _markov_rows(
     """
     p_exit_zero = min(1.0, 1.0 / burst_mean)
     s = target_sparsity
-    p_enter_zero = (
-        1.0 if s >= 1.0 else min(1.0, p_exit_zero * s / max(1e-12, 1.0 - s))
-    )
+    p_enter_zero = p_exit_zero * s / max(1e-12, 1.0 - s)
+    if p_enter_zero > 1.0:
+        # past 1 / (1 + p_exit_zero) the chain enters zero after every
+        # non-zero pixel and stays longer: non-zero runs of one, zero runs of
+        # mean s / (1 - s), and all zeros at s = 1
+        p_enter_zero, p_exit_zero = 1.0, (1.0 - s) / s
     rows, n = u.shape
     a = u >= p_exit_zero
     b = u < p_enter_zero
@@ -180,62 +183,85 @@ def _markov_rows(
     return zero, reset
 
 
-def _markov_nonzero(
-    n: int, target_sparsity: float, burst_mean: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Non-zero mask of a :func:`_markov_rows` chain over the flat stream.
+def _values_of(u: np.ndarray, out: np.ndarray) -> None:
+    """The stand-in value each uniform of ``u`` carries, into the int16 ``out``.
 
-    The n uniforms come first and the initial state after them, as in the
-    per-pixel chain.  So each ``_CHUNK`` of uniforms is scanned as if it
-    began in "non-zero", which leaves every state after its first reset
-    right; once the initial state is drawn, a second pass walks the chunks
-    and flips the states before that reset wherever a chunk in fact began
-    in "zero".
+    Every numpy bit generator's ``random()`` returns ``k / 2**53`` for a
+    53-bit integer ``k``, so ``u * 2**53`` is exact.  The value is
+    ``1 + (k & 0xFFF)``, negated when bit 12 of ``k`` is set: uniform on
+    +-[1, _VALUE_HIGH] and, for a non-zero pixel, all but independent of
+    the ``u >= target_sparsity`` test that made it non-zero.
     """
-    nonzero = np.empty(n, dtype=bool)
-    buf = np.empty(min(n, _CHUNK))
-    # per chunk: start, states before its first reset, the state it hands on
-    # if it began in "non-zero", and whether that depends on how it began
-    chunks = []
-    for i in range(0, n, _CHUNK):
-        u = buf[: min(_CHUNK, n - i)]
-        rng.random(out=u)
-        (zero,), (reset,) = _markov_rows(u[None], target_sparsity, burst_mean, False)
-        np.logical_not(zero[:-1], out=nonzero[i : i + len(u)])
-        carried = not reset.any()
-        prefix = len(u) if carried else int(np.argmax(reset)) + 1
-        chunks.append((i, prefix, bool(zero[-1]), carried))
-    in_zero = rng.random() < target_sparsity
-    for i, prefix, out_zero, carried in chunks:
-        if in_zero:
-            np.logical_not(nonzero[i : i + prefix], out=nonzero[i : i + prefix])
-        in_zero = out_zero ^ (in_zero and carried)
-    return nonzero
+    k = np.empty(len(u), dtype=np.int64)
+    np.multiply(u, 2.0**53, out=k, casting="unsafe")
+    np.bitwise_and(k, 2 * _VALUE_HIGH - 1, out=out, casting="unsafe")
+    m = out >> 12  # bit 12: 1 negates
+    out &= _VALUE_HIGH - 1
+    out += 1
+    # with m = -1, (v ^ m) - m == -v; with m = 0, v
+    np.negative(m, out=m)
+    out ^= m
+    out -= m
 
 
-def _nonzero_mask(
-    channels: int,
-    height: int,
-    width: int,
-    target_sparsity: float,
-    rng: np.random.Generator,
-    burst_mean: Optional[float],
-) -> np.ndarray:
-    """Flat stream-order non-zero mask of a stand-in, checked before it draws."""
+def _stand_in_pixels(channels: int, height: int, width: int, target_sparsity: float) -> int:
+    """The pixel count of a stand-in, whose shape and sparsity are checked
+    before it draws."""
     if not 0.0 <= target_sparsity <= 1.0:
         raise ValidationError("sparsity must be in [0, 1]")
     _check_shape(channels, height, width)
-    n = channels * height * width
-    if burst_mean is not None:
-        return _markov_nonzero(n, target_sparsity, burst_mean, rng)
-    # random() turns one 64-bit word into one double, in order, so filling
-    # consecutive chunks takes exactly the words of random(n)
+    return channels * height * width
+
+
+def _nonzero_stream(
+    n: int,
+    target_sparsity: float,
+    rng: np.random.Generator,
+    burst_mean: Optional[float],
+    values: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Flat stream-order non-zero mask of an ``n``-pixel stand-in.
+
+    Each pixel takes one uniform: i.i.d., it is non-zero when its uniform
+    reaches ``target_sparsity``; with ``burst_mean``, the
+    :func:`_markov_rows` chain steps on it.  The uniforms come first and a
+    Markov stand-in's initial state after them.  ``values``, if given,
+    receives the value every pixel's uniform carries (:func:`_values_of`),
+    zero or not.
+
+    A Markov chunk is scanned as if it began in "non-zero", which leaves
+    every state after its first reset right; once the initial state is
+    drawn, a second pass walks the chunks and flips the states before that
+    reset wherever a chunk in fact began in "zero".
+    """
     nonzero = np.empty(n, dtype=bool)
     buf = np.empty(min(n, _CHUNK))
+    # per Markov chunk: start, states before its first reset, the state it
+    # hands on if it began in "non-zero", and whether that depends on how
+    # it began
+    chunks = []
     for i in range(0, n, _CHUNK):
+        # random() draws its doubles one after another on every bit
+        # generator, so the chunks take exactly what random(n) takes
         u = buf[: min(_CHUNK, n - i)]
         rng.random(out=u)
-        np.greater_equal(u, target_sparsity, out=nonzero[i : i + len(u)])
+        part = nonzero[i : i + len(u)]
+        if values is not None:
+            _values_of(u, values[i : i + len(u)])
+        if burst_mean is None:
+            np.greater_equal(u, target_sparsity, out=part)
+            continue
+        (zero,), (reset,) = _markov_rows(u[None], target_sparsity, burst_mean, False)
+        np.logical_not(zero[:-1], out=part)
+        carried = not reset.any()
+        prefix = len(u) if carried else int(np.argmax(reset)) + 1
+        chunks.append((i, prefix, bool(zero[-1]), carried))
+    if burst_mean is not None:
+        in_zero = rng.random() < target_sparsity
+        for i, prefix, out_zero, carried in chunks:
+            if in_zero:
+                np.logical_not(nonzero[i : i + prefix], out=nonzero[i : i + prefix])
+            in_zero = out_zero ^ (in_zero and carried)
     return nonzero
 
 
@@ -252,40 +278,24 @@ def synthetic_tensor(
 
     With ``burst_mean`` set, zeros arrive in runs of that mean length along
     the stream order, mimicking the clustered inactivity of post-ReLU
-    feature maps; otherwise zero positions are i.i.d. uniform.  A Markov
-    stand-in's zero fraction cannot pass ``burst_mean / (burst_mean + 1)``:
-    a higher target is clamped there (0.8 at ``burst_mean=4``, 0.992 at
-    128).  Non-zero values are uniform in +-[1, 4095].  The values are generated in stream
-    order, so ``values`` is a (channel, row, column) view of a stream-order
-    buffer, not a C-contiguous array.
+    feature maps; otherwise zero positions are i.i.d. uniform.  Non-zero
+    values are uniform on +-[1, 4096].  Each pixel costs one uniform
+    (``rng.random``), which decides whether it is zero and, through its low
+    13 bits, its value; a Markov stand-in draws its initial state after
+    them.  The values are generated in stream order, so ``values`` is a
+    (channel, row, column) view of a stream-order buffer, not a
+    C-contiguous array.
 
-    The mask and the signs are drawn ``_CHUNK`` pixels at a time, so the
-    call holds little beyond the two-byte result and a one-byte mask: 3.1
-    bytes a pixel at the peak on a 64x224x224 map, with or without
-    ``burst_mean``, where whole-tensor draws peaked at 9.0 and 47.  The
-    chunks take the same words from ``rng`` as one whole draw each (see the
-    comments below), so a seed gives the same tensor, and leaves ``rng`` in
-    the same state, as drawing the uniforms, values and signs whole.
+    The uniforms are drawn and turned into values ``_CHUNK`` pixels at a
+    time, so the call holds little beyond the two-byte result and a
+    one-byte mask, with or without ``burst_mean``.  The chunks take the
+    same outputs from ``rng`` as one ``rng.random(n)`` call, so a seed gives
+    the same tensor, and leaves ``rng`` where that call would.
     """
-    nonzero = _nonzero_mask(channels, height, width, target_sparsity, rng, burst_mean)
-    n = len(nonzero)
-    # Kept whole: this draw rejects 16 of every 65536 16-bit values, so the
-    # words it takes depend on the data, and chunking it could stop a chunk
-    # on half a 32-bit word and shift every later draw.
-    flat = rng.integers(1, _VALUE_HIGH, size=n, dtype=np.int16)
-    # Each sign is one 16-bit half of a 32-bit word and the draw over
-    # [0, 2) never rejects.  A call keeps an unused high half only until it
-    # returns, so an even-length chunk takes exactly len/2 whole words and
-    # leaves nothing behind: chunks of the even _CHUNK, then any remainder,
-    # take the ceil(n/2) words of one integers(0, 2, size=n) call.
-    # Sign draw 0 negates: with m = -1, (v ^ m) - m == -v; with m = 0, v.
-    for i in range(0, n, _CHUNK):
-        part = flat[i : i + _CHUNK]
-        m = rng.integers(0, 2, size=len(part), dtype=np.int16)
-        m -= 1
-        part ^= m
-        part -= m
-        part *= nonzero[i : i + len(part)]
+    flat = np.empty(
+        _stand_in_pixels(channels, height, width, target_sparsity), dtype=np.int16
+    )
+    flat *= _nonzero_stream(len(flat), target_sparsity, rng, burst_mean, values=flat)
     values = flat.reshape(height, width, channels).transpose(2, 0, 1)
     return FeatureMapTensor(values, qformat)
 
@@ -297,29 +307,20 @@ def synthetic_mask_groups(
     """The non-zero masks of ``count`` successive :func:`synthetic_tensor`
     calls, in (k, channels, height, width) groups of as many trials as fit
     in ``_CHUNK`` pixels (at least one); ``rng`` ends where those calls
-    leave it.  Each trial makes their generator calls in their order, and
-    one :func:`_markov_rows` scan runs a group's chains, each row from its
-    own initial state.
+    leave it.  A group is one ``rng.random`` call with a row per trial:
+    its uniforms, then, with ``burst_mean``, its initial state in one more
+    column, which one :func:`_markov_rows` scan starts its chain from.
     """
-    if not 0.0 <= target_sparsity <= 1.0:
-        raise ValidationError("sparsity must be in [0, 1]")
-    _check_shape(channels, height, width)
-    n = channels * height * width
+    n = _stand_in_pixels(channels, height, width, target_sparsity)
     group = max(1, _CHUNK // n)
     for start in range(0, count, group):
         k = min(group, count - start)
-        u = np.empty((k, n))
-        in_zero = np.zeros(k, dtype=bool)
-        for t in range(k):
-            rng.random(out=u[t])  # the words of the chunked draw
-            if burst_mean is not None:
-                in_zero[t] = rng.random() < target_sparsity
-            rng.integers(1, _VALUE_HIGH, size=n, dtype=np.int16)  # the values
-            rng.integers(0, 2, size=n, dtype=np.int16)  # and their signs
         if burst_mean is None:
-            nonzero = u >= target_sparsity
+            nonzero = rng.random((k, n)) >= target_sparsity
         else:
-            nonzero = ~_markov_rows(u, target_sparsity, burst_mean, in_zero)[0][:, :-1]
+            u = rng.random((k, n + 1))
+            in_zero = u[:, n] < target_sparsity
+            nonzero = ~_markov_rows(u[:, :n], target_sparsity, burst_mean, in_zero)[0][:, :-1]
         yield nonzero.reshape(k, height, width, channels).transpose(0, 3, 1, 2)
 
 
@@ -336,40 +337,6 @@ class NonzeroMask(np.ndarray):
         return self.view(np.ndarray)
 
 
-# next_uint32 of these bit generators splits a 64-bit raw output, low half
-# first, and keeps the high half in state["has_uint32"] and ["uinteger"];
-# advance(k) skips k raw outputs.  default_rng builds PCG64.
-_ADVANCE = ("PCG64", "PCG64DXSM")
-
-
-def _take_words(rng, kind: str, held: int, words: int, keep: bool) -> list:
-    """Take ``words`` 32-bit words from ``rng`` as that many next_uint32
-    calls would, leaving the same state, but at the raw rate when the bit
-    generator ``kind`` is in ``_ADVANCE``; ``held`` is 1 when a half is kept
-    at the start.  Returns the words read as uint16 halves, in pieces.
-
-    A kept half goes first, then whole raw outputs (skipped with advance
-    unless ``keep``), then a 2-3 word next_uint32 draw, which rewrites
-    ``uinteger`` and keeps a half when the words after the first are odd.
-    """
-    bg = rng.bit_generator
-
-    def uint32s(k: int) -> np.ndarray:
-        return rng.integers(0, 1 << 32, size=k, dtype=np.uint32).view(np.uint16)
-
-    rest = words - held
-    if kind not in _ADVANCE or rest < 4:
-        return [uint32s(words)]
-    tail = 2 + rest % 2
-    pieces = [uint32s(1)] if held else []  # the kept half is the first word
-    if keep:
-        pieces.append(bg.random_raw((rest - tail) // 2).view(np.uint16))
-    else:
-        bg.advance((rest - tail) // 2)
-    pieces.append(uint32s(tail))
-    return pieces
-
-
 def synthetic_mask(
     channels: int,
     height: int,
@@ -378,46 +345,15 @@ def synthetic_mask(
     rng: np.random.Generator,
     burst_mean: Optional[float] = None,
 ) -> NonzeroMask:
-    """``synthetic_tensor(...).values != 0``, without drawing the values.
+    """``synthetic_tensor(...).values != 0``, without forming the values.
 
     For the same arguments and generator state this returns the non-zero
     pixels of the tensor :func:`synthetic_tensor` would draw and leaves
-    ``rng`` in the same state, but it takes the words of the value and sign
-    draws without forming them, in ``_CHUNK // 2``-word blocks.  Both draws
-    read 32-bit words through the generator's ``next_uint32``, one 16-bit
-    half per value, low half first, and neither keeps a half across calls;
-    :func:`_take_words` reads the same words from the raw outputs of PCG64
-    and PCG64DXSM and skips the sign words there with ``advance``; other bit
-    generators draw them with ``integers``.
+    ``rng`` in the same state: it draws the same uniforms, ``_CHUNK`` at a
+    time, and keeps only their zero test.
     """
-    nonzero = _nonzero_mask(channels, height, width, target_sparsity, rng, burst_mean)
-    n = len(nonzero)
-    state = rng.bit_generator.state
-    kind = state.get("bit_generator")
-    held = int(state["has_uint32"]) if kind in _ADVANCE else 0
-    # The values: numpy's Lemire draw over the span s = _VALUE_HIGH - 1
-    # multiplies a half x by s and rejects it, drawing the next half, when
-    # the low 16 bits of the product fall below 2**16 mod s (16 for 4095).
-    # A block of at most ceil(need / 2) words holds at most need + 1
-    # halves; when it holds need accepted ones, the last of them is in its
-    # last word, so the loop ends on the word where the value draw ends.
-    span = np.uint16(_VALUE_HIGH - 1)
-    reject_below = (1 << 16) % (_VALUE_HIGH - 1)
-    accepted = 0
-    while accepted < n:
-        words = min(-(-(n - accepted) // 2), _CHUNK // 2)
-        accepted += 2 * words
-        for halves in _take_words(rng, kind, held, words, keep=True):
-            halves *= span  # wraps, leaving the low 16 bits of the product
-            accepted -= int(np.count_nonzero(halves < reject_below))
-        held ^= words & 1
-    # the signs: ceil(len / 2) words per chunk, so ceil(n / 2) in all
-    words = -(-n // 2)
-    step = words if kind in _ADVANCE else _CHUNK // 2
-    for i in range(0, words, step):
-        block = min(step, words - i)
-        _take_words(rng, kind, held, block, keep=False)
-        held ^= block & 1
+    n = _stand_in_pixels(channels, height, width, target_sparsity)
+    nonzero = _nonzero_stream(n, target_sparsity, rng, burst_mean)
     return nonzero.reshape(height, width, channels).transpose(2, 0, 1).view(NonzeroMask)
 
 

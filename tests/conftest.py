@@ -41,7 +41,6 @@ from nhsim.netmodel import (
     LayerDescriptor,
     ValidationError,
     sparsity,
-    synthetic_tensor,
 )
 
 
@@ -270,21 +269,25 @@ def reference_synthetic_tensor(
     qformat: QFormat = QFormat(8),
     burst_mean: Optional[float] = None,
 ) -> FeatureMapTensor:
-    """The per-pixel form of :func:`nhsim.netmodel.synthetic_tensor`."""
+    """The per-pixel form of :func:`nhsim.netmodel.synthetic_tensor`: one
+    uniform a pixel, whose 53-bit integer gives the non-zero value."""
     n = channels * height * width
     if not 0.0 <= target_sparsity <= 1.0:
         raise ValidationError("sparsity must be in [0, 1]")
+    u = rng.random(n)
     if burst_mean is None:
-        mask = rng.random(n) >= target_sparsity  # True = non-zero
+        mask = u >= target_sparsity  # True = non-zero
     else:
         # two-state Markov chain over the flat stream: mean zero-run length
         # burst_mean, stationary zero probability target_sparsity
         p_exit_zero = min(1.0, 1.0 / burst_mean)
         s = target_sparsity
-        p_enter_zero = (
-            1.0 if s >= 1.0 else min(1.0, p_exit_zero * s / max(1e-12, 1.0 - s))
-        )
-        u = rng.random(n)
+        if s * (1.0 + p_exit_zero) > 1.0:
+            # above the ceiling 1 / (1 + p_exit_zero): enter zero after every
+            # non-zero pixel, leave it less often
+            p_enter_zero, p_exit_zero = 1.0, (1.0 - s) / s
+        else:
+            p_enter_zero = p_exit_zero * s / (1.0 - s)
         mask = np.empty(n, dtype=bool)
         in_zero = rng.random() < s
         for j in range(n):
@@ -293,9 +296,10 @@ def reference_synthetic_tensor(
                 in_zero = u[j] >= p_exit_zero
             else:
                 in_zero = u[j] < p_enter_zero
-    vals = rng.integers(1, 1 << 12, size=n, dtype=np.int16)
-    signs = rng.integers(0, 2, size=n, dtype=np.int16) * 2 - 1
-    flat = np.where(mask, vals * signs, 0).astype(np.int16)
+    # random() is k / 2**53 for a 53-bit integer k: bits 0-11 of k are the
+    # magnitude less one, bit 12 the sign
+    high, low = np.divmod(np.ldexp(u, 53).astype(np.int64) % 8192, 4096)
+    flat = np.where(mask, np.where(high == 1, -(low + 1), low + 1), 0).astype(np.int16)
     shaped = flat.reshape(height, width, channels).transpose(2, 0, 1)
     return FeatureMapTensor(np.ascontiguousarray(shaped), qformat)
 
@@ -304,13 +308,14 @@ def reference_compare_codecs_rows(
     sweep: list[float], precision: int, trials: int, seed: int, burst_mean: float = 128.0
 ) -> list[dict]:
     """The rows of :func:`nhsim.cli.compare_codecs_cmd` from one
-    ``synthetic_tensor`` a trial, each sized on its own by ``encode``,
-    ``rl_encode`` and ``cis_bits`` at its measured sparsity."""
+    :func:`reference_synthetic_tensor` a trial, each sized on its own by
+    ``encode``, ``rl_encode`` and ``cis_bits`` at its measured sparsity."""
     rng = np.random.default_rng(seed)
     rows = []
     for sp in sweep:
         tensors = [
-            synthetic_tensor(2, 24, 24, sp, rng, burst_mean=burst_mean) for _ in range(trials)
+            reference_synthetic_tensor(2, 24, 24, sp, rng, burst_mean=burst_mean)
+            for _ in range(trials)
         ]
         raw = float(np.mean([t.pixel_count * precision for t in tensors]))
         sm = float(np.mean([codec.SEGMENT_BITS * codec.encode(t).field_count for t in tensors]))

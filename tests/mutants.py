@@ -70,18 +70,27 @@ MUTANTS = [
         "tests/test_accel.py::TestTrace::test_raw_trace_moves_every_pixel",
     ),
     (
-        # a stand-in mask reads a raw output before the half its generator kept
+        # a stand-in value takes its sign from bit 11 of its uniform's 53-bit
+        # integer, which also sets its magnitude, instead of from bit 12
         "src/nhsim/netmodel.py",
-        "pieces = [uint32s(1)] if held else []",
-        "pieces = []",
-        "tests/test_netmodel.py::TestSyntheticMask::test_words_drawn_before_the_call",
+        "    m = out >> 12",
+        "    m = (out >> 11) & 1",
+        "tests/test_netmodel.py::TestStandInDraw::test_values_cover_the_range_uniformly",
     ),
     (
-        # one sign word fewer skipped where advance skips them
+        # a group of Markov stand-ins reads each row's initial state from
+        # its first uniform instead of the extra last column
         "src/nhsim/netmodel.py",
-        "        _take_words(rng, kind, held, block, keep=False)\n",
-        "        _take_words(rng, kind, held, block - (kind in _ADVANCE), keep=False)\n",
-        "tests/test_netmodel.py::TestSyntheticMask::test_every_bit_generator",
+        "in_zero = u[:, n] < target_sparsity",
+        "in_zero = u[:, 0] < target_sparsity",
+        "tests/test_netmodel.py::TestSyntheticMaskGroups::test_every_bit_generator",
+    ),
+    (
+        # a Markov target past 1 / (1 + p_exit_zero) clamped there again
+        "src/nhsim/netmodel.py",
+        "p_enter_zero, p_exit_zero = 1.0, (1.0 - s) / s",
+        "p_enter_zero = 1.0",
+        "tests/test_netmodel.py::TestStandInDraw::test_markov_reaches_targets_past_the_ceiling",
     ),
     (
         # the oracle's one-pass rounding without the quotient's odd bit: ties
@@ -102,8 +111,8 @@ MUTANTS = [
         # a batch of stand-ins draws each row's initial state but starts
         # every row in "non-zero"
         "src/nhsim/netmodel.py",
-        "                in_zero[t] = rng.random() < target_sparsity\n",
-        "                rng.random()\n",
+        "in_zero = u[:, n] < target_sparsity",
+        "in_zero = np.zeros(k, dtype=bool)",
         "tests/test_netmodel.py::TestSyntheticMaskGroups::test_every_bit_generator",
     ),
     (

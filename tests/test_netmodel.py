@@ -143,10 +143,6 @@ class TestSyntheticMatchesReference:
     def test_layer_sized_tensor(self):
         assert_same_as_reference(64, 56, 56, 0.82, None, 5)
 
-    def test_chunk_is_even(self):
-        # an odd chunk would end a sign draw on half a 32-bit word
-        assert netmodel._CHUNK % 2 == 0
-
     @pytest.mark.parametrize("burst_mean", [None, 16.0])
     @pytest.mark.parametrize("chunk", [2, 6, 64])
     def test_draws_span_several_chunks(self, monkeypatch, chunk, burst_mean):
@@ -177,7 +173,9 @@ class TestSyntheticMatchesReference:
             assert_same_as_reference(*shape, sp, burst_mean, seed)
 
     def test_peak_memory_below_four_bytes_a_pixel(self):
-        # VGG16 conv1's output map; whole-tensor draws peaked at 9 bytes a pixel
+        # VGG16 conv1's output map; whole-tensor draws peaked at 9 bytes a
+        # pixel.  The two-byte result and the one-byte mask leave one byte a
+        # pixel for the chunk buffers.
         c, h, w = 64, 224, 224
         rng = np.random.default_rng(3)
         tracemalloc.start()
@@ -218,6 +216,69 @@ BIT_GENERATORS = [
 ]
 
 
+class TestStandInDraw:
+    """One uniform a pixel: its zero test and, from its low 13 bits, its value."""
+
+    def test_values_cover_the_range_uniformly(self):
+        # 2**21 pixels at sparsity 0.3: about 1.47 M non-zero values over the
+        # 8,192 values +-[1, 4096], some 180 each
+        t = netmodel.synthetic_tensor(64, 128, 256, 0.3, np.random.default_rng(18))
+        v = t.values[t.values != 0].astype(np.int64)
+        assert len(v) >= 1 << 20
+        assert -4096 <= v.min() and v.max() <= 4096
+        counts = np.bincount(v + 4096, minlength=8193)
+        counts = np.delete(counts, 4096)  # the zero slot, empty
+        assert counts.min() > 0
+        expected = len(v) / 8192
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        df = 8191
+        assert chi2 < df + 5 * np.sqrt(2 * df)  # about 8,831
+
+    @pytest.mark.parametrize("sp", [0.0, 0.5, 0.82, 1.0])
+    def test_first_mask_is_the_uniforms_threshold(self, sp):
+        # the draw of every earlier release: rng.random(n) >= sp in stream order
+        shape = (64, 33, 31)
+        n = int(np.prod(shape))
+        mask = netmodel.synthetic_mask(*shape, sp, np.random.default_rng(0))
+        u = np.random.default_rng(0).random(n)
+        assert np.array_equal(mask, (u >= sp).reshape(33, 31, 64).transpose(2, 0, 1))
+
+    @pytest.mark.parametrize("burst_mean", [None, 16.0])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_generator_ends_where_random_leaves_it(self, bit_generator, burst_mean):
+        # n uniforms a stand-in, and one more for a Markov initial state
+        shape, count = (5, 33, 17), 9
+        n = int(np.prod(shape)) + (burst_mean is not None)
+        draws = {
+            "tensor": lambda r: netmodel.synthetic_tensor(*shape, 0.82, r, burst_mean=burst_mean),
+            "mask": lambda r: netmodel.synthetic_mask(*shape, 0.82, r, burst_mean),
+            "groups": lambda r: list(
+                netmodel.synthetic_mask_groups(count, *shape, 0.82, r, burst_mean)
+            ),
+        }
+        for what, draw in draws.items():
+            rng = np.random.Generator(bit_generator(7))
+            want = np.random.Generator(bit_generator(7))
+            draw(rng)
+            want.random(n * (count if what == "groups" else 1))
+            assert same_state(rng.bit_generator.state, want.bit_generator.state), what
+
+    @pytest.mark.parametrize("sp", [0.9, 0.95, 1.0])
+    def test_markov_reaches_targets_past_the_ceiling(self, sp):
+        # burst_mean 4 caps the zero fraction at 0.8 while the chain keeps a
+        # mean zero run of 4; past it the zero runs grow instead
+        rng = np.random.default_rng(0)
+        got = [
+            sparsity(netmodel.synthetic_tensor(2, 24, 24, sp, rng, burst_mean=4.0))
+            for _ in range(400)
+        ]
+        assert abs(float(np.mean(got)) - sp) < 0.01
+        masks = np.concatenate(
+            list(netmodel.synthetic_mask_groups(400, 2, 24, 24, sp, rng, 4.0))
+        )
+        assert abs(1.0 - float(masks.mean()) - sp) < 0.01
+
+
 class TestSyntheticMask:
     """``synthetic_mask`` against ``synthetic_tensor(...).values != 0``."""
 
@@ -248,8 +309,8 @@ class TestSyntheticMask:
 
     @pytest.mark.parametrize("chunk", [2, 6, 64])
     def test_value_words_over_many_blocks(self, monkeypatch, chunk):
-        # blocks of one, three and 32 words; the value draw rejects one half
-        # in 4096, so about 15 of the 60,939 values are drawn again
+        # the uniforms in chunks of 2, 6 and 64, on a 64-bit and a 32-bit
+        # bit generator
         monkeypatch.setattr(netmodel, "_CHUNK", chunk)
         for shape in [(1, 1, 1), (2, 1, 1), (3, 1, 1), (999, 61, 1)]:
             for bit_generator in (np.random.PCG64, np.random.MT19937):
@@ -259,7 +320,8 @@ class TestSyntheticMask:
     @pytest.mark.parametrize("burst_mean", [None, 16.0])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
     def test_words_drawn_before_the_call(self, bit_generator, burst_mean, drawn):
-        # the call starts with a half kept by a 64-bit generator
+        # the call starts with a 32-bit half kept in the generator state,
+        # which random() neither reads nor clears
         for seed, shape in enumerate([(1, 1, 1), (7, 1, 1), (5, 33, 17), (198, 331, 1)]):
             self.assert_mask_matches_tensor(
                 bit_generator, shape, 0.82, burst_mean, seed, drawn=drawn
@@ -267,8 +329,7 @@ class TestSyntheticMask:
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
     def test_consecutive_masks_from_one_generator(self, bit_generator):
-        # as run_network draws one stand-in after another; a value draw
-        # that ends on an odd word leaves a half kept for the next one
+        # as run_network draws one stand-in after another
         tensor_rng = np.random.Generator(bit_generator(9))
         mask_rng = np.random.Generator(bit_generator(9))
         for shape, sp in [((3, 5, 7), 0.5), ((64, 33, 31), 0.82), ((1, 1, 1), 0.0),
@@ -280,8 +341,7 @@ class TestSyntheticMask:
 
     @pytest.mark.parametrize("chunk", [2, 6, 64])
     def test_kept_half_over_many_blocks(self, monkeypatch, chunk):
-        # blocks that start on a kept half, with too few words for raw
-        # outputs (chunk 2 and 6) and with many (chunk 64)
+        # chunks drawn while a 32-bit half is kept in the generator state
         monkeypatch.setattr(netmodel, "_CHUNK", chunk)
         shapes = [(1, 1, 1), (2, 1, 1), (5, 1, 1), (37, 5, 1)]
         for shape in shapes + [(999, 61, 1)] * (chunk == 64):
@@ -365,7 +425,7 @@ class TestSyntheticMaskGroups:
     @pytest.mark.parametrize("burst_mean", [None, 16.0])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
     def test_words_drawn_before_the_call(self, bit_generator, burst_mean, drawn):
-        # the first trial starts with a half kept by a 64-bit generator
+        # the first trial starts with a 32-bit half kept in the state
         for seed, (shape, count) in enumerate([((1, 1, 1), 3), ((7, 1, 1), 2),
                                                ((5, 33, 17), 24)]):
             self.assert_groups_match_tensors(
