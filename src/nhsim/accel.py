@@ -66,12 +66,10 @@ OUTPUT_PIXELS_PER_CYCLE = 2  # pixels out per cycle: one 32-bit word of two 16-b
 @dataclass(frozen=True)
 class HardwareConfig:
     """``macs`` sets passes, cluster sizes, utilization and peak;
-    ``controllers`` only caps ``PassPlan.active_controllers``;
     ``pixel_mem_bytes`` decides input reload; ``kernel_bank_values`` groups
     banks; ``clock_hz`` turns cycles into time."""
 
     macs: int = 128
-    controllers: int = 8
     pixel_mem_bytes: int = 512 * 1024
     kernel_bank_values: int = 4096
     clock_hz: float = 500e6
@@ -81,8 +79,6 @@ class HardwareConfig:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"{f.name} must be positive and finite, got {value}")
-        if self.macs % self.controllers:
-            raise ValidationError("controller count must divide MAC count")
 
     @property
     def peak_gops(self) -> float:
@@ -100,7 +96,6 @@ class PassPlan:
     chan_count: int
     cluster_size: int  # MACs cooperating per output channel (v)
     bank_group: int  # banks jointly holding one channel's kernels
-    active_controllers: int
     kernel_values: int  # values loaded for this pass
 
 
@@ -121,8 +116,7 @@ def plan_layer(layer: LayerDescriptor, hw: HardwareConfig) -> LayerSchedule:
     """Derive the pass/cluster/bank plan for a layer; deterministic.
 
     With fewer output channels than MACs, floor(M / channels) MACs
-    cooperate on each channel (one per cooperating controller, capped at
-    the controller count for dispatch).  With more channels than MACs the
+    cooperate on each channel.  With more channels than MACs the
     channels are spread evenly over ceil(n_out / M) passes.  When one
     channel's kernels exceed a bank, banks are grouped and the channels per
     pass shrink accordingly.
@@ -148,7 +142,6 @@ def plan_layer(layer: LayerDescriptor, hw: HardwareConfig) -> LayerSchedule:
                 chan_count=count,
                 cluster_size=v,
                 bank_group=group,
-                active_controllers=min(v, hw.controllers),
                 kernel_values=count * footprint,
             )
         )

@@ -126,15 +126,6 @@ class RawPixelStream:
     frac_bits: int
 
 
-@dataclass
-class CompressionReport:
-    raw_bits: int
-    sm_bits: int
-    cis_bits: int
-    rl_bits: int
-    sparsity: float
-
-
 # ---------------------------------------------------------------------------
 # size model
 
@@ -198,11 +189,6 @@ def sparsity_maps(values: np.ndarray) -> np.ndarray:
     that row, in stream order, is non-zero; bits past the row end are 0.
     """
     return _pack_maps(_stream_mask(values))
-
-
-def field_count_for(t: FeatureMapTensor) -> int:
-    """Field count :func:`encode` would produce, without building the stream."""
-    return report_for(t).sm_bits // SEGMENT_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +359,6 @@ def rl_encode(t: FeatureMapTensor) -> tuple[int, list[tuple[int, int]]]:
     return (RL_RUN_BITS + RL_VALUE_BITS) * len(pairs), pairs
 
 
-def rl_bits(t: FeatureMapTensor) -> int:
-    """Bits :func:`rl_encode` uses, in closed form (see :func:`batch_sizes`)."""
-    return report_for(t).rl_bits
-
-
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -414,11 +395,6 @@ def batch_sizes(values: np.ndarray, precision: int = 16) -> dict[str, np.ndarray
         "rl_bits": (RL_RUN_BITS + RL_VALUE_BITS) * rl_pairs,
         "sparsity": (n - nnz) / n,
     }
-
-
-def report_for(t: FeatureMapTensor, precision: int = 16) -> CompressionReport:
-    sizes = batch_sizes(t.values[None], precision)
-    return CompressionReport(**{key: v.item() for key, v in sizes.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def sparsity(t: FeatureMapTensor) -> float:
 
 def _markov_rows(
     u: np.ndarray, target_sparsity: float, burst_mean: float, in_zero
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Zero states of two-state Markov chains, one over each row of ``u``.
 
     Mean zero-run length ``burst_mean``, stationary zero probability
@@ -154,7 +154,7 @@ def _markov_rows(
     move from non-zero enters zero it toggles, and otherwise it holds; so
     each state is the last reset (or the row's incoming state ``in_zero``)
     XOR the parity of the toggles since then.  Returns the (rows, n + 1)
-    states, the incoming one first, and which steps reset.
+    states, the incoming one first and the outgoing one last.
     """
     p_exit_zero = min(1.0, 1.0 / burst_mean)
     s = target_sparsity
@@ -180,7 +180,7 @@ def _markov_rows(
     last = np.where(reset, np.arange(1, n + 1, dtype=np.int32), 0)
     np.maximum.accumulate(last, axis=1, out=last)
     zero[:, 1:] = odd ^ np.take_along_axis(zero, last, axis=1)
-    return zero, reset
+    return zero
 
 
 def _values_of(u: np.ndarray, out: np.ndarray) -> None:
@@ -224,22 +224,15 @@ def _nonzero_stream(
 
     Each pixel takes one uniform: i.i.d., it is non-zero when its uniform
     reaches ``target_sparsity``; with ``burst_mean``, the
-    :func:`_markov_rows` chain steps on it.  The uniforms come first and a
-    Markov stand-in's initial state after them.  ``values``, if given,
-    receives the value every pixel's uniform carries (:func:`_values_of`),
-    zero or not.
-
-    A Markov chunk is scanned as if it began in "non-zero", which leaves
-    every state after its first reset right; once the initial state is
-    drawn, a second pass walks the chunks and flips the states before that
-    reset wherever a chunk in fact began in "zero".
+    :func:`_markov_rows` chain steps on it.  A Markov stand-in draws its
+    initial state first, and each chunk's chain starts from the state the
+    chunk before it ended in.  ``values``, if given, receives the value
+    every pixel's uniform carries (:func:`_values_of`), zero or not.
     """
     nonzero = np.empty(n, dtype=bool)
     buf = np.empty(min(n, _CHUNK))
-    # per Markov chunk: start, states before its first reset, the state it
-    # hands on if it began in "non-zero", and whether that depends on how
-    # it began
-    chunks = []
+    if burst_mean is not None:
+        in_zero = rng.random() < target_sparsity
     for i in range(0, n, _CHUNK):
         # random() draws its doubles one after another on every bit
         # generator, so the chunks take exactly what random(n) takes
@@ -251,17 +244,9 @@ def _nonzero_stream(
         if burst_mean is None:
             np.greater_equal(u, target_sparsity, out=part)
             continue
-        (zero,), (reset,) = _markov_rows(u[None], target_sparsity, burst_mean, False)
+        (zero,) = _markov_rows(u[None], target_sparsity, burst_mean, in_zero)
         np.logical_not(zero[:-1], out=part)
-        carried = not reset.any()
-        prefix = len(u) if carried else int(np.argmax(reset)) + 1
-        chunks.append((i, prefix, bool(zero[-1]), carried))
-    if burst_mean is not None:
-        in_zero = rng.random() < target_sparsity
-        for i, prefix, out_zero, carried in chunks:
-            if in_zero:
-                np.logical_not(nonzero[i : i + prefix], out=nonzero[i : i + prefix])
-            in_zero = out_zero ^ (in_zero and carried)
+        in_zero = zero[-1]
     return nonzero
 
 
@@ -281,16 +266,16 @@ def synthetic_tensor(
     feature maps; otherwise zero positions are i.i.d. uniform.  Non-zero
     values are uniform on +-[1, 4096].  Each pixel costs one uniform
     (``rng.random``), which decides whether it is zero and, through its low
-    13 bits, its value; a Markov stand-in draws its initial state after
+    13 bits, its value; a Markov stand-in draws its initial state before
     them.  The values are generated in stream order, so ``values`` is a
     (channel, row, column) view of a stream-order buffer, not a
     C-contiguous array.
 
     The uniforms are drawn and turned into values ``_CHUNK`` pixels at a
     time, so the call holds little beyond the two-byte result and a
-    one-byte mask, with or without ``burst_mean``.  The chunks take the
-    same outputs from ``rng`` as one ``rng.random(n)`` call, so a seed gives
-    the same tensor, and leaves ``rng`` where that call would.
+    one-byte mask, with or without ``burst_mean``.  The chunks take what
+    one ``rng.random(n)`` call takes (after a Markov initial state), so a
+    seed gives the same tensor and ``rng`` ends where that call leaves it.
     """
     flat = np.empty(
         _stand_in_pixels(channels, height, width, target_sparsity), dtype=np.int16
@@ -308,8 +293,8 @@ def synthetic_mask_groups(
     calls, in (k, channels, height, width) groups of as many trials as fit
     in ``_CHUNK`` pixels (at least one); ``rng`` ends where those calls
     leave it.  A group is one ``rng.random`` call with a row per trial:
-    its uniforms, then, with ``burst_mean``, its initial state in one more
-    column, which one :func:`_markov_rows` scan starts its chain from.
+    with ``burst_mean``, its initial state in column 0, which one
+    :func:`_markov_rows` scan starts its chain from, then its uniforms.
     """
     n = _stand_in_pixels(channels, height, width, target_sparsity)
     group = max(1, _CHUNK // n)
@@ -319,8 +304,8 @@ def synthetic_mask_groups(
             nonzero = rng.random((k, n)) >= target_sparsity
         else:
             u = rng.random((k, n + 1))
-            in_zero = u[:, n] < target_sparsity
-            nonzero = ~_markov_rows(u[:, :n], target_sparsity, burst_mean, in_zero)[0][:, :-1]
+            in_zero = u[:, 0] < target_sparsity
+            nonzero = ~_markov_rows(u[:, 1:], target_sparsity, burst_mean, in_zero)[:, :-1]
         yield nonzero.reshape(k, height, width, channels).transpose(0, 3, 1, 2)
 
 

@@ -274,6 +274,8 @@ def reference_synthetic_tensor(
     n = channels * height * width
     if not 0.0 <= target_sparsity <= 1.0:
         raise ValidationError("sparsity must be in [0, 1]")
+    # a Markov stand-in draws its initial state before its uniforms
+    in_zero = burst_mean is not None and rng.random() < target_sparsity
     u = rng.random(n)
     if burst_mean is None:
         mask = u >= target_sparsity  # True = non-zero
@@ -289,7 +291,6 @@ def reference_synthetic_tensor(
         else:
             p_enter_zero = p_exit_zero * s / (1.0 - s)
         mask = np.empty(n, dtype=bool)
-        in_zero = rng.random() < s
         for j in range(n):
             mask[j] = not in_zero
             if in_zero:

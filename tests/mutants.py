@@ -79,10 +79,10 @@ MUTANTS = [
     ),
     (
         # a group of Markov stand-ins reads each row's initial state from
-        # its first uniform instead of the extra last column
+        # its last uniform instead of column 0
         "src/nhsim/netmodel.py",
-        "in_zero = u[:, n] < target_sparsity",
         "in_zero = u[:, 0] < target_sparsity",
+        "in_zero = u[:, n] < target_sparsity",
         "tests/test_netmodel.py::TestSyntheticMaskGroups::test_every_bit_generator",
     ),
     (
@@ -111,9 +111,17 @@ MUTANTS = [
         # a batch of stand-ins draws each row's initial state but starts
         # every row in "non-zero"
         "src/nhsim/netmodel.py",
-        "in_zero = u[:, n] < target_sparsity",
+        "in_zero = u[:, 0] < target_sparsity",
         "in_zero = np.zeros(k, dtype=bool)",
         "tests/test_netmodel.py::TestSyntheticMaskGroups::test_every_bit_generator",
+    ),
+    (
+        # each chunk of a Markov stand-in restarts its chain from the
+        # initial state instead of the state the chunk before ended in
+        "src/nhsim/netmodel.py",
+        "        in_zero = zero[-1]\n",
+        "",
+        "tests/test_netmodel.py::TestSyntheticMatchesReference::test_draws_span_several_chunks",
     ),
     (
         # the batched run-length sizes count one escape pair per 31 zeros of

@@ -28,9 +28,7 @@ from nhsim.codec import (
     decode_raw,
     encode,
     encode_raw,
-    field_count_for,
     load_stream,
-    rl_bits,
     rl_encode,
     row_segments,
     save_stream,
@@ -44,6 +42,11 @@ from nhsim.netmodel import FeatureMapTensor
 def tensor(flat, c, h, w, frac=8):
     arr = np.asarray(flat, dtype=np.int16).reshape(h, w, c).transpose(2, 0, 1)
     return FeatureMapTensor(np.ascontiguousarray(arr), QFormat(frac))
+
+
+def sizes_of(t: FeatureMapTensor, precision: int = 16) -> dict:
+    """:func:`batch_sizes` of the one tensor ``t``, as Python numbers."""
+    return {key: v.item() for key, v in batch_sizes(t.values[None], precision).items()}
 
 
 def walk_grammar(s: CompressedStream):
@@ -205,7 +208,7 @@ class TestRoundtripProperties:
         nnz = int(np.count_nonzero(t.values))
         assert len(vals) == nnz
         assert sum(bin(sm).count("1") for sm in sms) == nnz
-        assert s.field_count == field_count_for(t)
+        assert s.sm_bits == sizes_of(t)["sm_bits"]
 
     @settings(max_examples=200, deadline=None)
     @given(tensors())
@@ -310,7 +313,7 @@ class TestSparsityMaps:
         t = tensor(flat + [0] * 17 + [5], c=2, h=2, w=9)
         assert sparsity_maps(t.values).tolist() == [[0b1001, 0b11], [0, 0b10]]
         assert row_segments(9, 2) == 2
-        assert field_count_for(t) == 2 * 2 + 5
+        assert encode(t).field_count == 2 * 2 + 5
 
     def test_fields_are_a_read_only_view_of_the_words(self, rng):
         s = encode(netmodel.synthetic_tensor(3, 4, 7, 0.5, rng))
@@ -409,25 +412,26 @@ class TestRunLengthSize:
     @settings(max_examples=300, deadline=None)
     @given(zero_runs() | tensors())
     def test_closed_form_equals_encoder(self, t):
-        assert rl_bits(t) == rl_encode(t)[0]
+        assert sizes_of(t)["rl_bits"] == rl_encode(t)[0]
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 96])
     def test_all_zero(self, n):
         t = tensor([0] * n, 1, 1, n)
-        assert rl_bits(t) == rl_encode(t)[0] == 21 * (n // 32 + (n % 32 > 0))
+        assert sizes_of(t)["rl_bits"] == rl_encode(t)[0] == 21 * (n // 32 + (n % 32 > 0))
 
     def test_report_uses_closed_form(self, rng):
+        # compare-codecs reports the closed form on bursty stand-ins
         t = netmodel.synthetic_tensor(2, 24, 24, 0.8, rng, burst_mean=40.0)
-        assert codec.report_for(t).rl_bits == rl_encode(t)[0]
+        assert sizes_of(t)["rl_bits"] == rl_encode(t)[0]
 
 
 class TestCompare:
     def test_report_fields_consistent(self, rng):
         t = netmodel.synthetic_tensor(2, 8, 16, 0.5, rng)
-        r = codec.report_for(t)
-        assert r.raw_bits == t.pixel_count * 16
-        assert r.sm_bits >= r.cis_bits
-        assert 0.0 <= r.sparsity <= 1.0
+        r = sizes_of(t)
+        assert r["raw_bits"] == t.pixel_count * 16
+        assert r["sm_bits"] >= r["cis_bits"]
+        assert 0.0 <= r["sparsity"] <= 1.0
 
     def test_empty_corpus_rejected(self):
         out = io.StringIO()
@@ -493,12 +497,8 @@ class TestBatchSizes:
 
     def test_per_tensor_sizes_route_through_the_batch(self, rng):
         t = netmodel.synthetic_tensor(3, 5, 7, 0.6, rng, burst_mean=8.0)
-        sizes = batch_sizes(t.values[None], 12)
-        report = codec.report_for(t, 12)
-        assert report == codec.CompressionReport(**{k: v[0] for k, v in sizes.items()})
-        assert type(report.rl_bits) is int and type(report.sparsity) is float
-        assert field_count_for(t) * codec.SEGMENT_BITS == sizes["sm_bits"][0]
-        assert rl_bits(t) == sizes["rl_bits"][0]
+        # one tensor's sizes are a batch of one
+        self.assert_sizes_match_codecs([t], 12)
 
     def test_precision_past_int64_rejected(self):
         with pytest.raises(netmodel.ValidationError, match="overflows 64-bit sizes"):

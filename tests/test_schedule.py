@@ -23,7 +23,6 @@ class TestPassRules:
         assert s.n_passes == 1
         assert s.passes[0].chan_count == 128
         assert s.passes[0].cluster_size == 1
-        assert s.passes[0].active_controllers == 1
 
     def test_256_outputs_two_passes(self):
         s = plan_layer(layer(64, 256, 3), HW)
@@ -41,7 +40,6 @@ class TestPassRules:
         s = plan_layer(layer(3, 16, 1, h=224, w=224), HW)
         assert s.n_passes == 1
         assert s.passes[0].cluster_size == 8
-        assert s.passes[0].active_controllers == 8
 
     def test_kernel_bank_overflow_clusters_in_pairs(self):
         # 512 * 3 * 3 = 4608 values > 4096 per bank
@@ -52,11 +50,10 @@ class TestPassRules:
         assert all(p.cluster_size == 2 for p in s.passes)
         assert s.values_per_bank <= HW.kernel_bank_values
 
-    def test_controllers_capped(self):
+    def test_cluster_size_rounds_down(self):
         s = plan_layer(layer(3, 5, 3), HW)
-        # 25 MACs cooperate per channel but only 8 controllers exist
+        # 128 MACs over 5 channels: 25 cooperate per channel, 3 idle
         assert s.passes[0].cluster_size == 25
-        assert s.passes[0].active_controllers == 8
 
     def test_channel_ranges_partition_output(self):
         for n_out in (5, 16, 100, 128, 200, 256, 500, 1024):
@@ -101,7 +98,7 @@ class TestVggShapes:
         """Stats for a dense input, plus that input's stream size in bytes."""
         t = random_tensor(rng, l.n_in, l.h, l.w, sparsity=0.0)
         out = FeatureMapTensor(np.zeros(l.out_shape, dtype=np.int16), QFormat(8))
-        return simulate_layer_stats(t, out, l, hw=hw), 4 * (-(-codec.field_count_for(t) // 2))
+        return simulate_layer_stats(t, out, l, hw=hw), 4 * codec.encode(t).word_count
 
     def test_early_vgg_layers_stream_once_even_when_input_is_big(self, rng):
         net = presets.network("vgg19")
@@ -155,18 +152,12 @@ class TestVggShapes:
             assert e["input_reload"] == (e["bytes_in"] > HW.pixel_mem_bytes), e["name"]
 
 
-def test_controller_divides_macs_invariant():
-    with pytest.raises(ValidationError):
-        HardwareConfig(macs=100, controllers=8)
-
-
 def test_hardware_fields_are_exactly_the_model_knobs():
     names = [f.name for f in dataclasses.fields(HardwareConfig)]
-    assert names == ["macs", "controllers", "pixel_mem_bytes", "kernel_bank_values", "clock_hz"]
+    assert names == ["macs", "pixel_mem_bytes", "kernel_bank_values", "clock_hz"]
 
 
-@pytest.mark.parametrize("field", ["macs", "controllers", "pixel_mem_bytes",
-                                   "kernel_bank_values", "clock_hz"])
+@pytest.mark.parametrize("field", ["macs", "pixel_mem_bytes", "kernel_bank_values", "clock_hz"])
 @pytest.mark.parametrize("value", [0, -8, float("nan"), float("inf")])
 def test_hardware_fields_must_be_positive_and_finite(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be positive and finite"):
