@@ -43,7 +43,7 @@ and the output field count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import IO, Optional, Sequence, Union
 
@@ -171,10 +171,14 @@ class LayerStats:
     bytes_out: int = 0
     bytes_kernels: int = 0
     passes: int = 0
+    pixels_decoded: int = 0  # decoder reads
+    pixels_drained: int = 0  # pixels out: the non-zero ones if encoded, all if raw
     macs: int = 128
     # multi-pass layer whose input stream overflows pixel memory, so every
     # pass streams it again
     input_reload: bool = False
+    # what a total summed: the passes of a layer or the layers of a network
+    parts: tuple[LayerStats, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def utilization(self) -> float:
@@ -219,14 +223,16 @@ _SUMMED_FIELDS = (
     "cycles_kernel_load", "cycles_input_stream", "cycles_compute",
     "cycles_output_drain", "cycles_total", "mult_ops",
     "bytes_in", "bytes_out", "bytes_kernels", "passes",
+    "pixels_decoded", "pixels_drained",
 )
 
 
 def total_stats(stats: Sequence[LayerStats]) -> LayerStats:
     """The field-wise sum of ``stats``, which must share one MAC count.
 
-    ``input_reload`` is set when any record reloads its input.  Layers sum
-    their passes and networks their layers through this one function.
+    ``input_reload`` is set when any record reloads its input, and
+    ``parts`` holds ``stats``.  Layers sum their passes and networks their
+    layers through this one function.
     """
     macs = {s.macs for s in stats}
     if len(macs) != 1:
@@ -237,12 +243,13 @@ def total_stats(stats: Sequence[LayerStats]) -> LayerStats:
         **{f: sum(getattr(s, f) for s in stats) for f in _SUMMED_FIELDS},
         macs=macs.pop(),
         input_reload=any(s.input_reload for s in stats),
+        parts=tuple(stats),
     )
 
 
-def estimate_dram_energy(stats: LayerStats, pj_per_bit: float = DRAM_PJ_PER_BIT) -> float:
+def estimate_dram_energy(stats: LayerStats) -> float:
     """DRAM access energy in joules for the traffic in ``stats``."""
-    return stats.total_bytes * 8 * pj_per_bit * 1e-12
+    return stats.total_bytes * 8 * DRAM_PJ_PER_BIT * 1e-12
 
 
 def _tap_counts(pos: np.ndarray, k: int, out_len: int) -> np.ndarray:
@@ -292,9 +299,7 @@ def _layer_stats(
     layer: LayerDescriptor,
     schedule: LayerSchedule,
     hw: HardwareConfig,
-    trace: Optional[IO[str]] = None,
 ) -> LayerStats:
-    tracer = _TraceWriter(trace) if trace is not None else None
     k = layer.k
     n_stripes = -(-layer.conv_h // 2)
     rows, cols, visits = _row_col_geometry(layer)
@@ -352,12 +357,44 @@ def _layer_stats(
             bytes_out=4 * out_words,
             bytes_kernels=2 * pas.kernel_values,
             passes=1,
+            pixels_decoded=visits_sum,
+            pixels_drained=px_out,
             macs=hw.macs,
             input_reload=reload,
         ))
-        if tracer is not None:
-            tracer.emit_pass(load_p, prefill_p, overlap, visits_sum, px_out, k)
     return total_stats(passes)
+
+
+def write_trace(f: IO[str], stats: LayerStats, k: int) -> None:
+    """Write one layer's debug trace from its record (``stats.parts`` are its
+    passes) and kernel size ``k``: a line ``first_cycle cycles phase px_in
+    px_out`` per run of identical cycles, counted from the layer's start.
+
+    A pass is kernel_load, prefill, then overlap, where the decoder reads up
+    to k_h+1 pixels a cycle and the drain moves up to ``OUTPUT_PIXELS_PER_CYCLE``:
+    each count at its cap, then its remainder for one cycle, then none.  This
+    reconstructs the phase model, not an RTL timing record.
+    """
+    cycle = 0
+    for p in stats.parts:
+        load = p.cycles_kernel_load
+        overlap = max(p.cycles_compute, p.cycles_input_stream, p.cycles_output_drain)
+        flows = ((p.pixels_decoded, k + 1), (p.pixels_drained, OUTPUT_PIXELS_PER_CYCLE))
+        # a flow's rate changes where its full cycles end and after its remainder
+        cuts = {0, overlap}
+        for px, cap in flows:
+            full, rem = divmod(px, cap)
+            cuts.update((min(full, overlap), min(full + (rem > 0), overlap)))
+        cuts = sorted(cuts)
+        prefill = p.cycles_total - load - overlap
+        runs = [(load, "kernel_load", 0, 0), (prefill, "prefill", 0, 0)]
+        for a, b in zip(cuts, cuts[1:]):
+            rates = (min(cap, max(px - cap * a, 0)) for px, cap in flows)
+            runs.append((b - a, "overlap", *rates))
+        for n, phase, pin, pout in runs:
+            if n:
+                f.write(f"{cycle} {n} {phase} {pin} {pout}\n")
+                cycle += n
 
 
 # ---------------------------------------------------------------------------
@@ -471,40 +508,6 @@ class SimResult:
         return codec.encode_raw(self.tensor)
 
 
-class _TraceWriter:
-    """Debug trace: one line per simulated cycle (phase, px in, px out).
-
-    The line stream is a cap-faithful reconstruction of the phase model,
-    not an RTL timing record: per cycle at most one input word, k_h+1
-    decoded pixels and ``OUTPUT_PIXELS_PER_CYCLE`` drained pixels (the
-    non-zero ones of an encoded layer, all of a raw one).
-    """
-
-    def __init__(self, f: IO[str]):
-        self.f = f
-        self.cycle = 0
-
-    def _line(self, phase: str, pin: int, pout: int) -> None:
-        self.f.write(f"{self.cycle} {phase} {pin} {pout}\n")
-        self.cycle += 1
-
-    def emit_pass(
-        self, load: int, prefill: int, overlap: int,
-        pixels_in: int, pixels_out: int, k: int,
-    ) -> None:
-        for _ in range(load):
-            self._line("kernel_load", 0, 0)
-        for _ in range(prefill):
-            self._line("prefill", 0, 0)
-        in_left, out_left = pixels_in, pixels_out
-        for _ in range(overlap):
-            pin = min(k + 1, in_left)
-            pout = min(OUTPUT_PIXELS_PER_CYCLE, out_left)
-            in_left -= pin
-            out_left -= pout
-            self._line("overlap", pin, pout)
-
-
 def _check_input(shape: tuple[int, ...], layer: LayerDescriptor) -> None:
     if shape != (layer.n_in, layer.h, layer.w):
         raise ValidationError(
@@ -526,7 +529,6 @@ def simulate_layer(
     layer: LayerDescriptor,
     schedule: Optional[LayerSchedule] = None,
     hw: Optional[HardwareConfig] = None,
-    trace: Optional[IO[str]] = None,
 ) -> SimResult:
     """Run one layer through the pipeline: bit-exact output plus stats."""
     hw = hw or HardwareConfig()
@@ -542,7 +544,7 @@ def simulate_layer(
     else:
         _check_schedule(layer, schedule)
     out_tensor = _forward_pipeline(in_tensor.values, kern, layer)
-    stats = _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw, trace)
+    stats = _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw)
     return SimResult(tensor=out_tensor, stats=stats, layer=layer)
 
 
@@ -564,7 +566,6 @@ def simulate_layer_stats(
     layer: LayerDescriptor,
     schedule: Optional[LayerSchedule] = None,
     hw: Optional[HardwareConfig] = None,
-    trace: Optional[IO[str]] = None,
 ) -> LayerStats:
     """Performance model only, with a caller-supplied output tensor.
 
@@ -573,8 +574,6 @@ def simulate_layer_stats(
     model reads only which pixels are non-zero, so the input and the output
     may each be a tensor or a (channels, height, width) bool mask of its
     non-zero pixels, such as :func:`nhsim.netmodel.synthetic_mask` draws.
-    The ``trace`` lines are those :func:`simulate_layer` writes for the
-    same input and output.
     """
     hw = hw or HardwareConfig()
     if schedule is None:
@@ -589,4 +588,4 @@ def simulate_layer_stats(
             f"stand-in output {out_values.shape} does not match "
             f"layer output {layer.out_shape}"
         )
-    return _layer_stats(in_values, out_values, layer, schedule, hw, trace)
+    return _layer_stats(in_values, out_values, layer, schedule, hw)

@@ -15,7 +15,8 @@ tools.  The report document mirrors :class:`RunReport`: a ``layers`` list
 (shape, passes and the cycle/byte counters of each layer) and a ``totals``
 object (GOp/frame of the dense workload, ms/frame and frames/s at the
 configured clock, GOp/s, efficiency against the 2-op-per-MAC peak, DRAM
-traffic and energy at 21 pJ/bit).
+traffic and energy at 21 pJ/bit).  ``--trace`` writes one line per run of
+identical cycles of each layer (:func:`nhsim.accel.write_trace`).
 """
 
 from __future__ import annotations
@@ -159,18 +160,17 @@ def run_network(
                 "shape-only descriptors"
             )
         schedule = accel.plan_layer(layer, hw)
-        if trace is not None:
-            trace.write(f"# layer {i} {layer.name}\n")
         if synthetic_sparsity is None:
             kern = _load_kernels(layer.weights_path, layer.frac_w, f"layer {i}")
-            sim = accel.simulate_layer(current, kern, layer, schedule, hw, trace=trace)
+            sim = accel.simulate_layer(current, kern, layer, schedule, hw)
             out_t, stats = sim.tensor, sim.stats
         else:
             # the stats model reads only which pixels are non-zero
             out_t = netmodel.synthetic_mask(*layer.out_shape, synthetic_sparsity, rng)
-            stats = accel.simulate_layer_stats(
-                current, out_t, layer, schedule, hw, trace=trace
-            )
+            stats = accel.simulate_layer_stats(current, out_t, layer, schedule, hw)
+        if trace is not None:
+            trace.write(f"# layer {i} {layer.name}\n")
+            accel.write_trace(trace, stats, layer.k)
         stats_list.append(stats)
         report.layers.append(_layer_entry(layer, schedule, stats))
         current = out_t
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--report", help="write the JSON report here")
-    runp.add_argument("--trace", help="write a per-cycle debug trace here")
+    runp.add_argument("--trace", help="write a debug trace here: one line per run of cycles")
 
     encp = sub.add_parser("encode", help="compress a tensor file")
     encp.add_argument("--in", dest="src", required=True)

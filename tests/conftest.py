@@ -15,11 +15,14 @@ the batched draw and sizes of ``compare_codecs_cmd`` replaced.
 :func:`reference_conv2d` is the int64 ``tensordot`` convolution that the
 float64 matmul oracle in :mod:`nhsim.refmodel` replaced.
 :func:`stats_cases` draws the random layers and hardware points of the
-stats-model properties.  :func:`quantize_kernel_set` turns real-valued
-weights into a kernel set; only tests need it, so it lives here rather than
-in the package.  So do the scalar fixed-point rules (:func:`saturate16`,
-:func:`saturate32`, :func:`quantize`, :func:`quantize_array`,
-:func:`requantize`, :func:`relu16`), which the naive oracle and the checks of
+stats-model properties.  :func:`reference_trace` is the per-cycle trace
+writer that :func:`nhsim.accel.write_trace`'s runs replaced, and
+:func:`expand_trace` turns those runs back into per-cycle lines.
+:func:`quantize_kernel_set` turns real-valued weights into a kernel set;
+only tests need it, so it lives here rather than in the package.  So do
+the scalar fixed-point rules (:func:`saturate16`, :func:`saturate32`,
+:func:`quantize`, :func:`quantize_array`, :func:`requantize`,
+:func:`relu16`), which the naive oracle and the checks of
 :func:`nhsim.fxp.requantize_array` use, and :func:`rl_decode`, the inverse
 of :func:`nhsim.codec.rl_encode`.
 """
@@ -32,7 +35,7 @@ import pytest
 from hypothesis import strategies as st
 
 from nhsim import codec
-from nhsim.accel import HardwareConfig
+from nhsim.accel import OUTPUT_PIXELS_PER_CYCLE, HardwareConfig, LayerStats
 from nhsim.codec import CompressedStream, StreamError
 from nhsim.fxp import I16_MAX, I16_MIN, I32_MAX, I32_MIN, QFormat
 from nhsim.netmodel import (
@@ -500,6 +503,40 @@ def stats_cases(draw):
         kernel_bank_values=draw(st.sampled_from([256, 1024, 4096])),
     )
     return layer, hw, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def reference_trace(stats: LayerStats, k: int) -> str:
+    """One layer's trace with one line ``cycle phase px_in px_out`` per cycle.
+
+    Per pass: kernel load, prefill, then overlap cycles that each move at
+    most k+1 decoded pixels and ``OUTPUT_PIXELS_PER_CYCLE`` drained ones.
+    """
+    lines = []
+    for p in stats.parts:
+        overlap = max(p.cycles_compute, p.cycles_input_stream, p.cycles_output_drain)
+        prefill = p.cycles_total - p.cycles_kernel_load - overlap
+        lines += ["kernel_load 0 0"] * p.cycles_kernel_load + ["prefill 0 0"] * prefill
+        in_left, out_left = p.pixels_decoded, p.pixels_drained
+        for _ in range(overlap):
+            pin = min(k + 1, in_left)
+            pout = min(OUTPUT_PIXELS_PER_CYCLE, out_left)
+            in_left -= pin
+            out_left -= pout
+            lines.append(f"overlap {pin} {pout}")
+    return "".join(f"{cycle} {line}\n" for cycle, line in enumerate(lines))
+
+
+def expand_trace(text: str) -> str:
+    """Per-cycle lines ``cycle phase px_in px_out`` from a trace of runs
+    ``first_cycle cycles phase px_in px_out``; ``#`` lines pass through."""
+    out = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("#"):
+            out.append(line)
+            continue
+        first, n, rest = line.split(" ", 2)
+        out += [f"{c} {rest}" for c in range(int(first), int(first) + int(n))]
+    return "".join(out)
 
 
 @pytest.fixture

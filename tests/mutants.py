@@ -70,6 +70,13 @@ MUTANTS = [
         "tests/test_accel.py::TestTrace::test_raw_trace_moves_every_pixel",
     ),
     (
+        # a flow's remainder cycle in the trace moves a full cap of pixels
+        "src/nhsim/accel.py",
+        "rates = (min(cap, max(px - cap * a, 0)) for px, cap in flows)",
+        "rates = (cap if px > cap * a else 0 for px, cap in flows)",
+        "tests/test_accel.py::TestTrace::test_runs_expand_to_per_cycle_reference",
+    ),
+    (
         # a stand-in value takes its sign from bit 11 of its uniform's 53-bit
         # integer, which also sets its magnitude, instead of from bit 12
         "src/nhsim/netmodel.py",

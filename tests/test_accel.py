@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     decode_stripe,
+    expand_trace,
     random_kernels,
     random_tensor,
+    reference_trace,
     stats_cases,
     stream_order_iter,
     weight_ops_for_pixel,
@@ -636,11 +638,13 @@ class TestStatsInputs:
 
 class TestTotalStats:
     def test_sums_every_counter(self):
-        a = LayerStats(1, 2, 3, 4, 10, 5, 6, 7, 8, 1, macs=64)
-        b = LayerStats(10, 20, 30, 40, 100, 50, 60, 70, 80, 2, macs=64, input_reload=True)
+        a = LayerStats(1, 2, 3, 4, 10, 5, 6, 7, 8, 1, 9, 11, macs=64)
+        b = LayerStats(10, 20, 30, 40, 100, 50, 60, 70, 80, 2, 90, 110, macs=64,
+                       input_reload=True)
         t = accel.total_stats([a, b])
-        assert t == LayerStats(11, 22, 33, 44, 110, 55, 66, 77, 88, 3, macs=64,
+        assert t == LayerStats(11, 22, 33, 44, 110, 55, 66, 77, 88, 3, 99, 121, macs=64,
                                input_reload=True)
+        assert t.parts == (a, b)
         assert accel.total_stats([a]) == a
 
     def test_mixed_or_missing_mac_counts_rejected(self):
@@ -654,7 +658,8 @@ class TestTotalStats:
         first = net.layers[0]
         x = random_tensor(rng, first.n_in, first.h, first.w)
         report = run_network(net, x, synthetic_sparsity=0.7, seed=3)[0]
-        stats = [LayerStats(**{f: e[f] for f in accel._SUMMED_FIELDS}) for e in report.layers]
+        stats = [LayerStats(**{f: e[f] for f in accel._SUMMED_FIELDS if f in e})
+                 for e in report.layers]
         total = accel.total_stats(stats)
         t = report.totals
         assert t["cycles_total"] == total.cycles_total
@@ -668,25 +673,34 @@ class TestTotalStats:
 
 class TestTrace:
     @staticmethod
-    def _traced(rng, layer, sparsity):
-        """Simulate ``layer`` with a trace, check its length and per-cycle
-        caps, and return the result and the pixels the trace moves out."""
+    def _runs(stats, k):
+        """Write the trace of ``stats``, check its runs against the record,
+        and return them as (first_cycle, cycles, phase, px_in, px_out)."""
+        buf = io.StringIO()
+        accel.write_trace(buf, stats, k)
+        runs = [(int(a), int(n), ph, int(i), int(o))
+                for a, n, ph, i, o in map(str.split, buf.getvalue().splitlines())]
+        cycle = 0
+        for first, n, phase, pin, pout in runs:
+            assert first == cycle and n > 0
+            assert phase in ("kernel_load", "prefill", "overlap")
+            assert 0 <= pin <= k + 1 and 0 <= pout <= accel.OUTPUT_PIXELS_PER_CYCLE
+            cycle += n
+        assert cycle == stats.cycles_total
+        assert sum(n * pin for _, n, _, pin, _ in runs) == stats.pixels_decoded
+        assert sum(n * pout for _, n, _, _, pout in runs) == stats.pixels_drained
+        assert all(a[2:] != b[2:] for a, b in zip(runs, runs[1:]))
+        return runs
+
+    def _traced(self, rng, layer, sparsity):
+        """Simulate ``layer``, check its trace, and return the result and
+        the pixels the trace moves out."""
         t = random_tensor(rng, layer.n_in, layer.h, layer.w, sparsity=sparsity)
         kern = random_kernels(rng, layer.n_out, layer.n_in, layer.k)
-        buf = io.StringIO()
-        sim = simulate_layer(t, kern, layer, trace=buf)
-        lines = [l for l in buf.getvalue().splitlines() if l]
-        assert len(lines) == sim.stats.cycles_total
-        seen_phases = set()
-        px_out = 0
-        for line in lines:
-            _, phase, pin, pout = line.split()
-            seen_phases.add(phase)
-            assert int(pin) <= layer.k + 1
-            assert int(pout) <= accel.OUTPUT_PIXELS_PER_CYCLE
-            px_out += int(pout)
-        assert {"kernel_load", "overlap"} <= seen_phases
-        return sim, px_out
+        sim = simulate_layer(t, kern, layer)
+        runs = self._runs(sim.stats, layer.k)
+        assert {"kernel_load", "overlap"} <= {r[2] for r in runs}
+        return sim, sum(n * pout for _, n, _, _, pout in runs)
 
     def test_trace_caps_and_length(self, rng):
         layer = LayerDescriptor(n_in=2, n_out=8, h=8, w=8, k=3, pad=0)
@@ -706,10 +720,25 @@ class TestTrace:
         layer = LayerDescriptor(n_in=3, n_out=130, h=6, w=6, k=3, pad=1, pool=True)
         t = random_tensor(rng, 3, 6, 6, sparsity=0.4)
         full, stats_only = io.StringIO(), io.StringIO()
-        sim = simulate_layer(t, random_kernels(rng, 130, 3, 3), layer, trace=full)
-        simulate_layer_stats(t, sim.tensor, layer, trace=stats_only)
+        sim = simulate_layer(t, random_kernels(rng, 130, 3, 3), layer)
+        accel.write_trace(full, sim.stats, layer.k)
+        accel.write_trace(stats_only, simulate_layer_stats(t, sim.tensor, layer), layer.k)
         assert sim.stats.passes == 2
         assert stats_only.getvalue() == full.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stats_cases(), sparsity=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    def test_runs_expand_to_per_cycle_reference(self, case, sparsity):
+        # encoded and raw layers, one or several passes, with and without
+        # input reload (stats_cases draws 64 B of pixel memory too)
+        layer, hw, rng = case
+        x = rng.random((layer.n_in, layer.h, layer.w)) >= sparsity
+        out = rng.random(layer.out_shape) >= sparsity
+        stats = simulate_layer_stats(x, out, layer, hw=hw)
+        buf = io.StringIO()
+        accel.write_trace(buf, stats, layer.k)
+        assert expand_trace(buf.getvalue()) == reference_trace(stats, layer.k)
+        self._runs(stats, layer.k)
 
 
 class TestLazyStream:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_kernels, random_tensor
+from conftest import expand_trace, random_kernels, random_tensor
 from nhsim import codec, netmodel, presets, refmodel
 from nhsim.accel import HardwareConfig
 from nhsim.cli import (
@@ -181,8 +181,8 @@ class TestRunNetwork:
         report, _ = run_network(net, t, synthetic_sparsity=0.5, trace=buf)
         lines = buf.getvalue().splitlines()
         assert [l for l in lines if l.startswith("#")] == ["# layer 0 conv1", "# layer 1 conv2"]
-        cycles = [l for l in lines if not l.startswith("#")]
-        assert len(cycles) == report.totals["cycles_total"]
+        runs = [l.split() for l in lines if not l.startswith("#")]
+        assert sum(int(r[1]) for r in runs) == report.totals["cycles_total"]
 
     def test_real_mode_requires_weights(self, rng):
         net = presets.network("roshambo")
@@ -319,15 +319,16 @@ class TestCliCommands:
         assert doc["totals"]["cycles_total"] == sum(
             e["cycles_total"] for e in doc["layers"]
         )
-        trace_lines = [l for l in open(trace_path) if not l.startswith("#")]
-        assert len(trace_lines) == doc["totals"]["cycles_total"]
+        runs = [l.split() for l in open(trace_path) if not l.startswith("#")]
+        assert sum(int(r[1]) for r in runs) == doc["totals"]["cycles_total"]
 
     def test_trace_matches_recorded_output(self, tmp_path):
         # A fixed two-layer run (the second layer takes two passes).  The
-        # size and digest were recorded from the per-pixel stats model that
-        # the separable one replaced, so any drift in modelled timing shows:
-        # 1497 lines of kernel load, prefill and overlap cycles with pixels
-        # in and out.
+        # size and digest of the per-cycle expansion were recorded from the
+        # per-pixel stats model that the separable one replaced, and the
+        # trace then had one line per cycle, so any drift in modelled timing
+        # shows: 1497 lines of kernel load, prefill and overlap cycles with
+        # pixels in and out, written as 18 lines of runs.
         def pattern(shape, mul, mod, off, zero_every):
             i = np.arange(int(np.prod(shape)))
             v = (i * mul) % mod - off
@@ -352,7 +353,9 @@ class TestCliCommands:
         trace_path = tmp_path / "trace.txt"
         assert main(["run", "--net", netpath, "--input", inpath,
                      "--trace", str(trace_path)]) == 0
-        data = trace_path.read_bytes()
+        text = trace_path.read_text()
+        assert text.count("\n") == 18
+        data = expand_trace(text).encode()
         assert (len(data), data.count(b"\n")) == (26186, 1497)
         assert hashlib.sha256(data).hexdigest() == (
             "0a85be62530c1e6111bb20c4a1f9f3a4c1303eae1372f030f85c9cc8efa1e477"
