@@ -276,13 +276,10 @@ def _row_col_geometry(layer: LayerDescriptor) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _input_counts(
-    in_values: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int
+    nz: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulator updates per input channel and non-zero pixels per row.
-
-    ``in_values`` may be the values or, as a bool array, the non-zero mask.
-    """
-    nz = in_values if in_values.dtype == bool else in_values != 0
+    """Accumulator updates per input channel and non-zero pixels per row of
+    the (c, h, w) bool mask ``nz`` of the non-zero input pixels."""
     # (channel, row); a row of at most MAX_DIM = 512 pixels fits in int16,
     # and summing bools in int16 takes half the time of count_nonzero
     per_row = nz.sum(axis=2, dtype=np.int16).astype(np.int64)
@@ -294,8 +291,8 @@ def _input_counts(
 
 
 def _layer_stats(
-    in_values: np.ndarray,
-    out_values: np.ndarray,
+    in_mask: np.ndarray,
+    out_mask: np.ndarray,
     layer: LayerDescriptor,
     schedule: LayerSchedule,
     hw: HardwareConfig,
@@ -303,7 +300,7 @@ def _layer_stats(
     k = layer.k
     n_stripes = -(-layer.conv_h // 2)
     rows, cols, visits = _row_col_geometry(layer)
-    chan_updates, nnz_per_row = _input_counts(in_values, rows, cols, k)
+    chan_updates, nnz_per_row = _input_counts(in_mask, rows, cols, k)
     wops_sum = int(chan_updates.sum())
     visits_sum = int(nnz_per_row @ visits)
     idp_bound = -(-visits_sum // (k + 1))
@@ -323,7 +320,7 @@ def _layer_stats(
         loads[: layer.n_in] = chan_updates
         compute = max(int(loads.reshape(-1, v).sum(axis=0).max()), idp_bound)
 
-        out_slice = out_values[pas.chan_start : pas.chan_start + c_p]
+        out_slice = out_mask[pas.chan_start : pas.chan_start + c_p]
         # px_out: the pixels the drain moves, the non-zero ones if encoded
         if layer.encode:
             seg_nnz = np.bitwise_count(codec.sparsity_maps(out_slice))
@@ -524,7 +521,7 @@ def _check_schedule(layer: LayerDescriptor, schedule: LayerSchedule) -> None:
 
 
 def simulate_layer(
-    input_: Union[FeatureMapTensor, CompressedStream],
+    in_tensor: FeatureMapTensor,
     kern: KernelSet,
     layer: LayerDescriptor,
     schedule: Optional[LayerSchedule] = None,
@@ -532,10 +529,6 @@ def simulate_layer(
 ) -> SimResult:
     """Run one layer through the pipeline: bit-exact output plus stats."""
     hw = hw or HardwareConfig()
-    if isinstance(input_, CompressedStream):
-        in_tensor = codec.decode(input_)
-    else:
-        in_tensor = input_
     _check_input(in_tensor.values.shape, layer)
     if kern.n_out != layer.n_out or kern.n_in != layer.n_in or kern.k != layer.k:
         raise ValidationError("kernel set does not match layer descriptor")
@@ -544,20 +537,21 @@ def simulate_layer(
     else:
         _check_schedule(layer, schedule)
     out_tensor = _forward_pipeline(in_tensor.values, kern, layer)
-    stats = _layer_stats(in_tensor.values, out_tensor.values, layer, schedule, hw)
+    in_mask, out_mask = in_tensor.values != 0, out_tensor.values != 0
+    stats = _layer_stats(in_mask, out_mask, layer, schedule, hw)
     return SimResult(tensor=out_tensor, stats=stats, layer=layer)
 
 
 def _nonzero_source(x: Union[FeatureMapTensor, np.ndarray], what: str) -> np.ndarray:
-    """The values of a tensor, or a bool non-zero mask as a plain array."""
+    """A tensor's (c, h, w) bool non-zero mask, or a bool mask as a plain array."""
     if isinstance(x, FeatureMapTensor):
-        return x.values
-    values = np.asarray(x)
-    if values.dtype != bool:
+        return x.values != 0
+    mask = np.asarray(x)
+    if mask.dtype != bool:
         raise ValidationError(
-            f"{what} must be a FeatureMapTensor or a bool mask, not {values.dtype}"
+            f"{what} must be a FeatureMapTensor or a bool mask, not {mask.dtype}"
         )
-    return values
+    return mask
 
 
 def simulate_layer_stats(
@@ -580,12 +574,12 @@ def simulate_layer_stats(
         schedule = plan_layer(layer, hw)
     else:
         _check_schedule(layer, schedule)
-    in_values = _nonzero_source(in_tensor, "input")
-    out_values = _nonzero_source(out_tensor, "stand-in output")
-    _check_input(in_values.shape, layer)
-    if out_values.shape != layer.out_shape:
+    in_mask = _nonzero_source(in_tensor, "input")
+    out_mask = _nonzero_source(out_tensor, "stand-in output")
+    _check_input(in_mask.shape, layer)
+    if out_mask.shape != layer.out_shape:
         raise ValidationError(
-            f"stand-in output {out_values.shape} does not match "
+            f"stand-in output {out_mask.shape} does not match "
             f"layer output {layer.out_shape}"
         )
-    return _layer_stats(in_values, out_values, layer, schedule, hw)
+    return _layer_stats(in_mask, out_mask, layer, schedule, hw)

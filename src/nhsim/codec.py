@@ -161,19 +161,6 @@ def row_segments(w: int, c: int) -> int:
     return -(-(w * c) // SEGMENT_BITS)
 
 
-def _stream_mask(values: np.ndarray) -> np.ndarray:
-    """(h, w, c) bool mask of the non-zero pixels of a (c, h, w) array.
-
-    A bool array is its own mask and comes back as a view.
-    """
-    if values.dtype == bool:
-        return values.transpose(1, 2, 0)
-    c, h, w = values.shape
-    mask = np.empty((h, w, c), dtype=bool)
-    np.not_equal(values.transpose(1, 2, 0), 0, out=mask)
-    return mask
-
-
 def _pack_maps(mask: np.ndarray) -> np.ndarray:
     h, w, c = mask.shape
     buf = np.zeros((h, 2 * row_segments(w, c)), dtype=np.uint8)
@@ -182,13 +169,13 @@ def _pack_maps(mask: np.ndarray) -> np.ndarray:
     return buf.view("<u2")
 
 
-def sparsity_maps(values: np.ndarray) -> np.ndarray:
-    """(h, segments) uint16 SM words of a (c, h, w) array.
+def sparsity_maps(mask: np.ndarray) -> np.ndarray:
+    """(h, segments) uint16 SM words of a (c, h, w) bool non-zero mask.
 
     Bit ``b`` of segment ``s`` of row ``y`` is 1 iff pixel ``16*s + b`` of
     that row, in stream order, is non-zero; bits past the row end are 0.
     """
-    return _pack_maps(_stream_mask(values))
+    return _pack_maps(mask.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +185,9 @@ def sparsity_maps(values: np.ndarray) -> np.ndarray:
 def encode(t: FeatureMapTensor) -> CompressedStream:
     """Compress a tensor into the interleaved SM / non-zero-value format."""
     c, h, w = t.values.shape
-    mask = _stream_mask(t.values)
+    # (h, w, c) in C order, so the maps pack without a copy
+    mask = np.empty((h, w, c), dtype=bool)
+    np.not_equal(t.values.transpose(1, 2, 0), 0, out=mask)
     sm = _pack_maps(mask).reshape(-1)
     nonzero = t.values.transpose(1, 2, 0)[mask]
     del mask  # one byte a pixel: free it before the field buffers exist
@@ -234,7 +223,7 @@ def decode_raw(s: RawPixelStream) -> FeatureMapTensor:
 # decode
 
 
-def _check_header(s: CompressedStream, dims) -> tuple[int, int, int]:
+def _check_header(s: CompressedStream) -> tuple[int, int, int]:
     # checked before any buffer is sized from the header
     if s.channels > MAX_CHANNELS or s.height > MAX_DIM or s.width > MAX_DIM:
         raise StreamError(
@@ -244,11 +233,6 @@ def _check_header(s: CompressedStream, dims) -> tuple[int, int, int]:
     if not 0 <= s.frac_bits <= MAX_FRAC:
         raise StreamError(
             f"stream header frac_bits {s.frac_bits} outside [0, {MAX_FRAC}]", 0
-        )
-    if dims is not None and tuple(dims) != (s.channels, s.height, s.width):
-        raise StreamError(
-            f"declared dims {tuple(dims)} disagree with stream header "
-            f"{(s.channels, s.height, s.width)}", 0,
         )
     if s.field_count < 0 or s.word_count != -(-s.field_count // 2):
         raise StreamError(
@@ -277,17 +261,16 @@ def _segment_starts(fields: np.ndarray, n_segs: int) -> tuple[np.ndarray, int]:
     return starts, pos
 
 
-def decode(s: CompressedStream, dims=None) -> FeatureMapTensor:
+def decode(s: CompressedStream) -> FeatureMapTensor:
     """Exact inverse of :func:`encode`.
 
     Raises :class:`StreamError` on a header fault (dims or ``frac_bits``
-    out of range, ``dims`` disagreeing with the header, a field count that
-    does not fill the words), on truncation, on an SM bit past the end of
-    a row, or on fields left over after the last row; when a stream has
-    several faults in its fields, the one met first in stream order is
-    reported.
+    out of range, a field count that does not fill the words), on
+    truncation, on an SM bit past the end of a row, or on fields left over
+    after the last row; when a stream has several faults in its fields, the
+    one met first in stream order is reported.
     """
-    c, h, w = _check_header(s, dims)
+    c, h, w = _check_header(s)
     row_px = w * c
     segs = row_segments(w, c)
     fields = s.fields()

@@ -287,25 +287,23 @@ def synthetic_tensor(
 
 def synthetic_mask_groups(
     count: int, channels: int, height: int, width: int, target_sparsity: float,
-    rng: np.random.Generator, burst_mean: Optional[float] = None,
+    rng: np.random.Generator, burst_mean: float,
 ) -> Iterator[np.ndarray]:
-    """The non-zero masks of ``count`` successive :func:`synthetic_tensor`
-    calls, in (k, channels, height, width) groups of as many trials as fit
-    in ``_CHUNK`` pixels (at least one); ``rng`` ends where those calls
-    leave it.  A group is one ``rng.random`` call with a row per trial:
-    with ``burst_mean``, its initial state in column 0, which one
-    :func:`_markov_rows` scan starts its chain from, then its uniforms.
+    """The non-zero masks of ``count`` successive Markov
+    :func:`synthetic_tensor` calls with ``burst_mean``, in (k, channels,
+    height, width) groups of as many trials as fit in ``_CHUNK`` pixels (at
+    least one); ``rng`` ends where those calls leave it.  A group is one
+    ``rng.random`` call with a row per trial: its initial state in column
+    0, which one :func:`_markov_rows` scan starts its chain from, then its
+    uniforms.
     """
     n = _stand_in_pixels(channels, height, width, target_sparsity)
     group = max(1, _CHUNK // n)
     for start in range(0, count, group):
         k = min(group, count - start)
-        if burst_mean is None:
-            nonzero = rng.random((k, n)) >= target_sparsity
-        else:
-            u = rng.random((k, n + 1))
-            in_zero = u[:, 0] < target_sparsity
-            nonzero = ~_markov_rows(u[:, 1:], target_sparsity, burst_mean, in_zero)[:, :-1]
+        u = rng.random((k, n + 1))
+        in_zero = u[:, 0] < target_sparsity
+        nonzero = ~_markov_rows(u[:, 1:], target_sparsity, burst_mean, in_zero)[:, :-1]
         yield nonzero.reshape(k, height, width, channels).transpose(0, 3, 1, 2)
 
 
@@ -520,8 +518,8 @@ def _object_list(path: str, key: str, entries, what: str) -> list[dict]:
     return entries
 
 
-def _int_field(path: str, where: str, entry: dict, key: str, default=None) -> int:
-    value = entry.get(key, default)
+def _int_field(path: str, where: str, entry: dict, key: str) -> int:
+    value = entry[key]
     try:
         # int() would read true as 1 and "16" as 16
         if isinstance(value, (bool, str)) or (
@@ -535,8 +533,8 @@ def _int_field(path: str, where: str, entry: dict, key: str, default=None) -> in
         ) from None
 
 
-def _flag_field(path: str, where: str, entry: dict, key: str, default=None) -> bool:
-    value = entry.get(key, default)
+def _flag_field(path: str, where: str, entry: dict, key: str) -> bool:
+    value = entry[key]
     if value not in (True, False):  # admits 0 and 1, not "false"
         raise FileFormatError(f"{path}: {where} field {key!r} is not a boolean: {value!r}")
     return bool(value)

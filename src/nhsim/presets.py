@@ -1,8 +1,9 @@
 """Layer tables for the benchmark networks used in tests and what-if runs.
 
 Shapes only; weight paths stay empty so these descriptors suit synthetic
-activation runs out of the box.  Pad values are forced by the dimension
-chaining between consecutive layers.
+activation runs out of the box.  Every layer applies ReLU, encodes its
+output and keeps 8 fractional bits throughout (the descriptor defaults).
+Pad values are forced by the dimension chaining between consecutive layers.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ _TABLES = {
 }
 
 
-def network(name: str, frac: int = 8, encode: bool = True) -> NetworkDescriptor:
+def network(name: str) -> NetworkDescriptor:
     """Build a named preset network descriptor (no weight files attached)."""
     try:
         table = _TABLES[name]
@@ -75,10 +76,7 @@ def network(name: str, frac: int = 8, encode: bool = True) -> NetworkDescriptor:
         raise KeyError(f"unknown preset {name!r}; have {sorted(_TABLES)}") from None
     layers = [
         LayerDescriptor(
-            n_in=n_in, n_out=n_out, k=k, h=h, w=w, pad=pad,
-            relu=True, pool=pool, encode=encode,
-            frac_in=frac, frac_w=frac, frac_out=frac,
-            name=f"conv{i + 1}",
+            n_in=n_in, n_out=n_out, k=k, h=h, w=w, pad=pad, pool=pool, name=f"conv{i + 1}"
         )
         for i, (n_in, n_out, k, h, w, pad, pool) in enumerate(table)
     ]

@@ -309,16 +309,17 @@ def reference_synthetic_tensor(
 
 
 def reference_compare_codecs_rows(
-    sweep: list[float], precision: int, trials: int, seed: int, burst_mean: float = 128.0
+    sweep: list[float], precision: int, trials: int, seed: int
 ) -> list[dict]:
     """The rows of :func:`nhsim.cli.compare_codecs_cmd` from one
-    :func:`reference_synthetic_tensor` a trial, each sized on its own by
-    ``encode``, ``rl_encode`` and ``cis_bits`` at its measured sparsity."""
+    :func:`reference_synthetic_tensor` a trial at burst mean 128, each sized
+    on its own by ``encode``, ``rl_encode`` and ``cis_bits`` at its
+    measured sparsity."""
     rng = np.random.default_rng(seed)
     rows = []
     for sp in sweep:
         tensors = [
-            reference_synthetic_tensor(2, 24, 24, sp, rng, burst_mean=burst_mean)
+            reference_synthetic_tensor(2, 24, 24, sp, rng, burst_mean=128.0)
             for _ in range(trials)
         ]
         raw = float(np.mean([t.pixel_count * precision for t in tensors]))

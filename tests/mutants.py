@@ -138,6 +138,14 @@ MUTANTS = [
         "runs // (per_pair - 1)",
         "tests/test_codec.py::TestBatchSizes::test_matches_per_tensor_codecs",
     ),
+    (
+        # the stats model reads a tensor's values instead of its non-zero
+        # mask: each pixel counts its value where it should count one
+        "src/nhsim/accel.py",
+        "        return x.values != 0\n",
+        "        return x.values\n",
+        "tests/test_accel.py::TestStatsInputs::test_mask_gives_same_stats_as_tensor",
+    ),
 ]
 
 

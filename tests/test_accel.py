@@ -147,7 +147,7 @@ class TestSeparableModel:
         for layer in self._layers(rng, 40):
             t = random_tensor(rng, layer.n_in, layer.h, layer.w, sparsity=0.6)
             rows, cols, _ = accel._row_col_geometry(layer)
-            got, nnz_per_row = accel._input_counts(t.values, rows, cols, layer.k)
+            got, nnz_per_row = accel._input_counts(t.values != 0, rows, cols, layer.k)
             want = [0] * layer.n_in
             n_stripes = -(-layer.conv_h // 2)
             for i, y, x in zip(*np.nonzero(t.values)):
@@ -168,7 +168,7 @@ class TestSeparableModel:
             w = int(rng.integers(1, 11))
             sp = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
             out = random_tensor(rng, c, h, w, sparsity=sp).values
-            seg_nnz = np.bitwise_count(codec.sparsity_maps(out))
+            seg_nnz = np.bitwise_count(codec.sparsity_maps(out != 0))
             drain = fields = 0
             for y in range(h):
                 px = [int(out[ch, y, x]) for x in range(w) for ch in range(c)]
@@ -194,13 +194,6 @@ class TestFunctionalEquivalence:
             else:
                 got = codec.decode_raw(sim.stream)
             assert np.array_equal(got.values, want.values), f"trial {trial}"
-
-    def test_compressed_input_equals_tensor_input(self, rng):
-        layer, t, kern = random_case(rng)
-        a = simulate_layer(t, kern, layer)
-        b = simulate_layer(codec.encode(t), kern, layer)
-        assert np.array_equal(a.tensor.values, b.tensor.values)
-        assert a.stats.cycles_total == b.stats.cycles_total
 
     def test_identity_layer_dense_passthrough(self, rng):
         layer = LayerDescriptor(
