@@ -292,11 +292,14 @@ def _input_counts(
 
 def _layer_stats(
     in_mask: np.ndarray,
-    out_mask: np.ndarray,
+    out_mask: Optional[np.ndarray],
     layer: LayerDescriptor,
     schedule: LayerSchedule,
     hw: HardwareConfig,
 ) -> LayerStats:
+    """One layer's record from the (c, h, w) bool masks of its non-zero
+    input and output pixels; a raw layer drains every pixel, so it takes no
+    output mask (None)."""
     k = layer.k
     n_stripes = -(-layer.conv_h // 2)
     rows, cols, visits = _row_col_geometry(layer)
@@ -312,6 +315,7 @@ def _layer_stats(
     prefill_words = int(-(-row_fields[:prefill_rows].sum() // 2))
 
     reload = schedule.n_passes > 1 and stream_words * 4 > hw.pixel_mem_bytes
+    out_pixels = layer.out_shape[1] * layer.out_shape[2]  # per output channel
     passes = []
     for p_idx, pas in enumerate(schedule.passes):
         c_p, v = pas.chan_count, pas.cluster_size
@@ -320,9 +324,9 @@ def _layer_stats(
         loads[: layer.n_in] = chan_updates
         compute = max(int(loads.reshape(-1, v).sum(axis=0).max()), idp_bound)
 
-        out_slice = out_mask[pas.chan_start : pas.chan_start + c_p]
         # px_out: the pixels the drain moves, the non-zero ones if encoded
         if layer.encode:
+            out_slice = out_mask[pas.chan_start : pas.chan_start + c_p]
             seg_nnz = np.bitwise_count(codec.sparsity_maps(out_slice))
             px_out = int(seg_nnz.sum(dtype=np.int64))
             # a segment's map and first non-zero pixel take one cycle
@@ -331,7 +335,7 @@ def _layer_stats(
             )
             out_words = -(-(seg_nnz.size + px_out) // 2)
         else:
-            px_out = out_slice.size
+            px_out = c_p * out_pixels
             drain = -(-px_out // OUTPUT_PIXELS_PER_CYCLE)
             out_words = -(-px_out // 2)
         if v > 1:
@@ -537,21 +541,23 @@ def simulate_layer(
     else:
         _check_schedule(layer, schedule)
     out_tensor = _forward_pipeline(in_tensor.values, kern, layer)
-    in_mask, out_mask = in_tensor.values != 0, out_tensor.values != 0
+    # only the output's maps are packed, so only its mask is in stream order
+    in_mask = in_tensor.values != 0
+    out_mask = codec.nonzero_mask(out_tensor.values) if layer.encode else None
     stats = _layer_stats(in_mask, out_mask, layer, schedule, hw)
     return SimResult(tensor=out_tensor, stats=stats, layer=layer)
 
 
-def _nonzero_source(x: Union[FeatureMapTensor, np.ndarray], what: str) -> np.ndarray:
-    """A tensor's (c, h, w) bool non-zero mask, or a bool mask as a plain array."""
+def _source_shape(x: Union[FeatureMapTensor, np.ndarray], what: str) -> tuple[int, ...]:
+    """The shape of a tensor or of a bool mask; other arrays are refused."""
     if isinstance(x, FeatureMapTensor):
-        return x.values != 0
+        return x.values.shape
     mask = np.asarray(x)
     if mask.dtype != bool:
         raise ValidationError(
             f"{what} must be a FeatureMapTensor or a bool mask, not {mask.dtype}"
         )
-    return mask
+    return mask.shape
 
 
 def simulate_layer_stats(
@@ -574,12 +580,22 @@ def simulate_layer_stats(
         schedule = plan_layer(layer, hw)
     else:
         _check_schedule(layer, schedule)
-    in_mask = _nonzero_source(in_tensor, "input")
-    out_mask = _nonzero_source(out_tensor, "stand-in output")
-    _check_input(in_mask.shape, layer)
-    if out_mask.shape != layer.out_shape:
+    _check_input(_source_shape(in_tensor, "input"), layer)
+    out_shape = _source_shape(out_tensor, "stand-in output")
+    if out_shape != layer.out_shape:
         raise ValidationError(
-            f"stand-in output {out_mask.shape} does not match "
+            f"stand-in output {out_shape} does not match "
             f"layer output {layer.out_shape}"
         )
+    # a tensor's masks are made as in simulate_layer
+    if isinstance(in_tensor, FeatureMapTensor):
+        in_mask = in_tensor.values != 0
+    else:
+        in_mask = np.asarray(in_tensor)
+    out_mask = None  # a raw layer drains every pixel
+    if layer.encode:
+        if isinstance(out_tensor, FeatureMapTensor):
+            out_mask = codec.nonzero_mask(out_tensor.values)
+        else:
+            out_mask = np.asarray(out_tensor)
     return _layer_stats(in_mask, out_mask, layer, schedule, hw)

@@ -161,6 +161,9 @@ def row_segments(w: int, c: int) -> int:
     return -(-(w * c) // SEGMENT_BITS)
 
 
+_MASK_BLOCK_BYTES = 1 << 18
+
+
 def _pack_maps(mask: np.ndarray) -> np.ndarray:
     h, w, c = mask.shape
     buf = np.zeros((h, 2 * row_segments(w, c)), dtype=np.uint8)
@@ -169,11 +172,31 @@ def _pack_maps(mask: np.ndarray) -> np.ndarray:
     return buf.view("<u2")
 
 
+def nonzero_mask(values: np.ndarray) -> np.ndarray:
+    """(c, h, w) bool mask of the non-zero pixels of (c, h, w) ``values``.
+
+    It is a view of a C-order (h, w, c) buffer, the stream order, so
+    :func:`sparsity_maps` packs it without a copy.  Rows are tested in
+    their own order, then transposed a block of at most ``_MASK_BLOCK_BYTES``
+    at a time, which is several times faster than testing in stream order.
+    """
+    c, h, w = values.shape
+    mask = np.empty((h, w, c), dtype=bool)
+    rows = max(1, _MASK_BLOCK_BYTES // (c * w))
+    block = np.empty((c, min(rows, h), w), dtype=bool)
+    for y in range(0, h, rows):
+        n = min(rows, h - y)
+        np.not_equal(values[:, y : y + n], 0, out=block[:, :n])
+        mask[y : y + n] = block[:, :n].transpose(1, 2, 0)
+    return mask.transpose(2, 0, 1)
+
+
 def sparsity_maps(mask: np.ndarray) -> np.ndarray:
     """(h, segments) uint16 SM words of a (c, h, w) bool non-zero mask.
 
     Bit ``b`` of segment ``s`` of row ``y`` is 1 iff pixel ``16*s + b`` of
     that row, in stream order, is non-zero; bits past the row end are 0.
+    A mask from :func:`nonzero_mask` packs without a copy.
     """
     return _pack_maps(mask.transpose(1, 2, 0))
 
@@ -185,9 +208,7 @@ def sparsity_maps(mask: np.ndarray) -> np.ndarray:
 def encode(t: FeatureMapTensor) -> CompressedStream:
     """Compress a tensor into the interleaved SM / non-zero-value format."""
     c, h, w = t.values.shape
-    # (h, w, c) in C order, so the maps pack without a copy
-    mask = np.empty((h, w, c), dtype=bool)
-    np.not_equal(t.values.transpose(1, 2, 0), 0, out=mask)
+    mask = nonzero_mask(t.values).transpose(1, 2, 0)  # (h, w, c) in C order
     sm = _pack_maps(mask).reshape(-1)
     nonzero = t.values.transpose(1, 2, 0)[mask]
     del mask  # one byte a pixel: free it before the field buffers exist

@@ -1,17 +1,20 @@
 """Dense golden model for one layer: convolution, bias, ReLU, 2x2 max pool.
 
 This is the correctness oracle for the pipeline simulator.  It convolves
-the whole map at once, one matrix product per kernel tap, with no stripes,
-clusters or passes, so it shares no evaluation order with the pipeline.
+the whole map at once, one matrix product per kernel row: the row's k
+column shifts of every input channel, stacked into one matrix, times that
+row's weights.  It has no stripes, clusters, blocks or channel ranges, so
+it shares no evaluation order with the pipeline.
 
-The products accumulate in float64, which is exact here: weights and
-activations are validated int16, so each product has magnitude at most
-2**30, and a layer sums at most ``MAX_CHANNELS * MAX_KERNEL**2`` = 50,176 of
-them, so every partial sum is an integer below 2**46 < 2**53 whatever the
-summation order.  Each output pixel's accumulator (bias plus every product)
-is then taken to int64 and clamped once to the 32-bit range.  The readout
-requantizes that map in one int64 pass, then applies ReLU and the 2x2 max
-pool, the max of four strided views, to the int16 result: it pools last.
+The products accumulate in float64, starting from the int32 bias, which is
+exact here: weights and activations are validated int16, so each product
+has magnitude at most 2**30, and a layer sums at most ``MAX_CHANNELS *
+MAX_KERNEL**2`` = 50,176 of them, so every partial sum is an integer below
+2**46 + 2**31 < 2**53 whatever the summation order.  Each output pixel's
+accumulator (bias plus every product) is then taken to int64 and clamped
+once to the 32-bit range.  The readout requantizes that map in one int64
+pass, then applies ReLU and the 2x2 max pool, the max of four strided
+views, to the int16 result: it pools last.
 """
 
 from __future__ import annotations
@@ -41,15 +44,18 @@ def conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int = 0) -> np.ndarray:
         raise ValidationError("kernel larger than padded input")
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
     padded[:, pad : pad + h, pad : pad + w] = t.values
-    # (k, k, n_out, n_in): each tap's weight matrix is contiguous
-    wf = np.ascontiguousarray(kern.weights.transpose(2, 3, 0, 1), dtype=np.float64)
-    acc_f = np.zeros((kern.n_out, out_h * out_w), dtype=np.float64)
+    # (k, n_out, k, n_in): kernel row dy's weights, columns ordered (dx, channel)
+    wf = np.ascontiguousarray(kern.weights.transpose(2, 0, 3, 1), dtype=np.float64)
+    wf = wf.reshape(k, kern.n_out, k * c)
+    # row dy's k column shifts of every channel, stacked (dx, channel)
+    shifts = np.empty((k, c, out_h, out_w), dtype=np.float64)
+    acc_f = np.empty((kern.n_out, out_h * out_w), dtype=np.float64)
+    acc_f[:] = kern.bias[:, None]
     for dy in range(k):
         for dx in range(k):
-            window = padded[:, dy : dy + out_h, dx : dx + out_w].reshape(c, -1)
-            acc_f += wf[dy, dx] @ window
+            shifts[dx] = padded[:, dy : dy + out_h, dx : dx + out_w]
+        acc_f += wf[dy] @ shifts.reshape(k * c, -1)
     acc = acc_f.astype(np.int64).reshape(kern.n_out, out_h, out_w)
-    acc += kern.bias.astype(np.int64)[:, None, None]
     return np.clip(acc, I32_MIN, I32_MAX, out=acc)
 
 

@@ -343,7 +343,7 @@ def reference_compare_codecs_rows(
 
 def reference_conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int) -> np.ndarray:
     """Convolution accumulators in int64, one ``tensordot`` per tap, clamped
-    once to the 32-bit range; the form of :func:`nhsim.refmodel.conv2d`."""
+    once to the 32-bit range: :func:`nhsim.refmodel.conv2d` in exact integers."""
     c, h, w = t.values.shape
     k = kern.k
     out_h, out_w = h + 2 * pad - k + 1, w + 2 * pad - k + 1

@@ -142,9 +142,17 @@ MUTANTS = [
         # the stats model reads a tensor's values instead of its non-zero
         # mask: each pixel counts its value where it should count one
         "src/nhsim/accel.py",
-        "        return x.values != 0\n",
-        "        return x.values\n",
+        "        in_mask = in_tensor.values != 0\n",
+        "        in_mask = in_tensor.values\n",
         "tests/test_accel.py::TestStatsInputs::test_mask_gives_same_stats_as_tensor",
+    ),
+    (
+        # the oracle's per-row weight matrix ordered (channel, dx) while its
+        # stacked column shifts are ordered (dx, channel)
+        "src/nhsim/refmodel.py",
+        "kern.weights.transpose(2, 0, 3, 1)",
+        "kern.weights.transpose(2, 0, 1, 3)",
+        "tests/test_refmodel.py::TestConv2d::test_equals_int64_reference",
     ),
 ]
 

@@ -25,9 +25,10 @@ from nhsim.netmodel import (
 
 
 def test_float64_accumulation_bound():
-    # the oracle and the pipeline sum int16 x int16 products in float64; the
-    # sums stay exact integers only while the largest one fits in 53 bits
-    assert MAX_CHANNELS * MAX_KERNEL**2 * 2**30 < 2**53
+    # the oracle and the pipeline sum int16 x int16 products in float64, and
+    # the oracle starts each sum from its int32 bias; the sums stay exact
+    # integers only while the largest one fits in 53 bits
+    assert MAX_CHANNELS * MAX_KERNEL**2 * 2**30 + 2**31 < 2**53
 
 
 def _extreme_draw(rng, shape, lo, hi, edges):
@@ -103,6 +104,26 @@ class TestConv2d:
         kern = KernelSet(w, np.array([I32_MAX, I32_MIN], dtype=np.int32), QFormat(8))
         acc = refmodel.conv2d(t, kern, pad=0)
         assert acc[:, 0, 0].tolist() == [I32_MAX, I32_MIN]
+        assert np.array_equal(acc, reference_conv2d(t, kern, 0))
+
+    @pytest.mark.parametrize("bias", [I32_MIN, I32_MAX])
+    def test_largest_layer_at_int16_extremes_is_exact(self, bias):
+        # one output pixel of a 1,024-channel 7x7 layer.  Output 0 sums
+        # 50,175 products of +2**30 and one of -(2**30 - 2**15).  Output 1
+        # takes +2**30 from the first half of the channels and -(2**30 -
+        # 2**15) from the second, but 32767**2 (odd) from the last channel's
+        # last tap: its partial sums pass 2**44, yet the total is in the
+        # 32-bit range and needs every bit.
+        c, k = MAX_CHANNELS, MAX_KERNEL
+        x = np.full((c, k, k), I16_MIN, dtype=np.int16)
+        x[-1, -1, -1] = I16_MAX
+        w = np.full((2, c, k, k), I16_MIN, dtype=np.int16)
+        w[1, c // 2 :] = I16_MAX
+        t = FeatureMapTensor(x, QFormat(8))
+        kern = KernelSet(w, np.full(2, bias, dtype=np.int32), QFormat(8))
+        acc = refmodel.conv2d(t, kern, pad=0)
+        mixed = 2**31 + (c // 2 * k * k - 1) * 2**15 - 2**16 + 1 + bias
+        assert acc[:, 0, 0].tolist() == [I32_MAX, min(mixed, I32_MAX)]
         assert np.array_equal(acc, reference_conv2d(t, kern, 0))
 
     def test_channel_mismatch(self, rng):
