@@ -1,10 +1,11 @@
 """Dense golden model for one layer: convolution, bias, ReLU, 2x2 max pool.
 
 This is the correctness oracle for the pipeline simulator.  It convolves
-the whole map at once, one matrix product per kernel row: the row's k
-column shifts of every input channel, stacked into one matrix, times that
-row's weights.  It has no stripes, clusters, blocks or channel ranges, so
-it shares no evaluation order with the pipeline.
+the whole map at once, one matrix product per kernel row: the k column
+shifts of every input channel, stacked once into one matrix, read at that
+row's offset, times that row's weights.  It has no stripes, clusters,
+blocks or channel ranges, so it shares no evaluation order with the
+pipeline.
 
 The products accumulate in float64, starting from the int32 bias, which is
 exact here: weights and activations are validated int16, so each product
@@ -47,14 +48,17 @@ def conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int = 0) -> np.ndarray:
     # (k, n_out, k, n_in): kernel row dy's weights, columns ordered (dx, channel)
     wf = np.ascontiguousarray(kern.weights.transpose(2, 0, 3, 1), dtype=np.float64)
     wf = wf.reshape(k, kern.n_out, k * c)
-    # row dy's k column shifts of every channel, stacked (dx, channel)
-    shifts = np.empty((k, c, out_h, out_w), dtype=np.float64)
+    # the k column shifts of every channel over the whole padded height,
+    # stacked (dx, channel): kernel row dy's matrix is the view of its
+    # output rows dy .. dy + out_h - 1
+    shifts = np.empty((k, c, h + 2 * pad, out_w), dtype=np.float64)
+    for dx in range(k):
+        shifts[dx] = padded[:, :, dx : dx + out_w]
+    shifts = shifts.reshape(k * c, -1)
     acc_f = np.empty((kern.n_out, out_h * out_w), dtype=np.float64)
     acc_f[:] = kern.bias[:, None]
     for dy in range(k):
-        for dx in range(k):
-            shifts[dx] = padded[:, dy : dy + out_h, dx : dx + out_w]
-        acc_f += wf[dy] @ shifts.reshape(k * c, -1)
+        acc_f += wf[dy] @ shifts[:, dy * out_w : (dy + out_h) * out_w]
     acc = acc_f.astype(np.int64).reshape(kern.n_out, out_h, out_w)
     return np.clip(acc, I32_MIN, I32_MAX, out=acc)
 
