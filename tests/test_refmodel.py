@@ -112,8 +112,8 @@ class TestConv2d:
         # 50,175 products of +2**30 and one of -(2**30 - 2**15).  Output 1
         # takes +2**30 from the first half of the channels and -(2**30 -
         # 2**15) from the second, but 32767**2 (odd) from the last channel's
-        # last tap: its partial sums pass 2**44, yet the total is in the
-        # 32-bit range and needs every bit.
+        # last tap: its partial sums pass 2**44, yet with an I32_MIN bias
+        # its total is in the 32-bit range and needs every bit.
         c, k = MAX_CHANNELS, MAX_KERNEL
         x = np.full((c, k, k), I16_MIN, dtype=np.int16)
         x[-1, -1, -1] = I16_MAX
