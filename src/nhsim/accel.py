@@ -62,6 +62,10 @@ from .netmodel import (
 
 OUTPUT_PIXELS_PER_CYCLE = 2  # pixels out per cycle: one 32-bit word of two 16-bit pixels
 
+# what the stats model reads of a layer's input or output: a tensor or a
+# (c, h, w) bool mask of its non-zero pixels
+_Source = Union[FeatureMapTensor, np.ndarray]
+
 
 @dataclass(frozen=True)
 class HardwareConfig:
@@ -219,11 +223,10 @@ class LayerStats:
 DRAM_PJ_PER_BIT = 21.0
 
 
-_SUMMED_FIELDS = (
-    "cycles_kernel_load", "cycles_input_stream", "cycles_compute",
-    "cycles_output_drain", "cycles_total", "mult_ops",
-    "bytes_in", "bytes_out", "bytes_kernels", "passes",
-    "pixels_decoded", "pixels_drained",
+# every int counter but macs, which the records share (annotations are
+# strings here, under the __future__ import)
+_SUMMED_FIELDS = tuple(
+    f.name for f in fields(LayerStats) if f.type == "int" and f.name != "macs"
 )
 
 
@@ -291,15 +294,20 @@ def _input_counts(
 
 
 def _layer_stats(
-    in_mask: np.ndarray,
-    out_mask: Optional[np.ndarray],
+    in_source: _Source,
+    out_source: _Source,
     layer: LayerDescriptor,
     schedule: LayerSchedule,
     hw: HardwareConfig,
 ) -> LayerStats:
-    """One layer's record from the (c, h, w) bool masks of its non-zero
-    input and output pixels; a raw layer drains every pixel, so it takes no
-    output mask (None)."""
+    """One layer's record from its checked input and output, the body of
+    both entry points; a raw layer drains every pixel, so it reads no
+    output mask."""
+    # only the output's maps are packed, so only its mask is in stream order
+    in_mask = in_source.values != 0 if isinstance(in_source, FeatureMapTensor) else in_source
+    out_mask = out_source
+    if layer.encode and isinstance(out_source, FeatureMapTensor):
+        out_mask = codec.nonzero_mask(out_source.values)
     k = layer.k
     n_stripes = -(-layer.conv_h // 2)
     rows, cols, visits = _row_col_geometry(layer)
@@ -509,19 +517,37 @@ class SimResult:
         return codec.encode_raw(self.tensor)
 
 
-def _check_input(shape: tuple[int, ...], layer: LayerDescriptor) -> None:
-    if shape != (layer.n_in, layer.h, layer.w):
-        raise ValidationError(
-            f"input {shape} does not match layer ({layer.n_in}, {layer.h}, {layer.w})"
-        )
-
-
-def _check_schedule(layer: LayerDescriptor, schedule: LayerSchedule) -> None:
+def _plan(
+    layer: LayerDescriptor, schedule: Optional[LayerSchedule], hw: Optional[HardwareConfig]
+) -> tuple[LayerSchedule, HardwareConfig]:
+    """``hw``, by default :class:`HardwareConfig`, and ``schedule`` checked
+    against ``layer``, or ``plan_layer``'s plan on ``hw`` if None."""
+    hw = hw or HardwareConfig()
+    if schedule is None:
+        return plan_layer(layer, hw), hw
     if (schedule.n_in, schedule.n_out, schedule.k) != (layer.n_in, layer.n_out, layer.k):
         raise ValidationError(
             f"schedule built for ({schedule.n_in}, {schedule.n_out}, k={schedule.k}) "
             f"does not match layer ({layer.n_in}, {layer.n_out}, k={layer.k})"
         )
+    return schedule, hw
+
+
+def _checked(x: _Source, want: tuple[int, ...], what: str, of: str) -> _Source:
+    """``x``, a tensor or a bool mask of shape ``want`` (the shape of
+    ``of``); other shapes and other arrays are refused."""
+    if isinstance(x, FeatureMapTensor):
+        shape = x.values.shape
+    else:
+        x = np.asarray(x)
+        if x.dtype != bool:
+            raise ValidationError(
+                f"{what} must be a FeatureMapTensor or a bool mask, not {x.dtype}"
+            )
+        shape = x.shape
+    if shape != want:
+        raise ValidationError(f"{what} {shape} does not match {of} {want}")
+    return x
 
 
 def simulate_layer(
@@ -532,37 +558,20 @@ def simulate_layer(
     hw: Optional[HardwareConfig] = None,
 ) -> SimResult:
     """Run one layer through the pipeline: bit-exact output plus stats."""
-    hw = hw or HardwareConfig()
-    _check_input(in_tensor.values.shape, layer)
+    _checked(in_tensor, (layer.n_in, layer.h, layer.w), "input", "layer")
     if kern.n_out != layer.n_out or kern.n_in != layer.n_in or kern.k != layer.k:
         raise ValidationError("kernel set does not match layer descriptor")
-    if schedule is None:
-        schedule = plan_layer(layer, hw)
-    else:
-        _check_schedule(layer, schedule)
+    schedule, hw = _plan(layer, schedule, hw)
     out_tensor = _forward_pipeline(in_tensor.values, kern, layer)
-    # only the output's maps are packed, so only its mask is in stream order
-    in_mask = in_tensor.values != 0
-    out_mask = codec.nonzero_mask(out_tensor.values) if layer.encode else None
-    stats = _layer_stats(in_mask, out_mask, layer, schedule, hw)
+    # not simulate_layer_stats: perfbench's tracer wraps that name, and a
+    # traced run would count this layer's stats twice
+    stats = _layer_stats(in_tensor, out_tensor, layer, schedule, hw)
     return SimResult(tensor=out_tensor, stats=stats, layer=layer)
 
 
-def _source_shape(x: Union[FeatureMapTensor, np.ndarray], what: str) -> tuple[int, ...]:
-    """The shape of a tensor or of a bool mask; other arrays are refused."""
-    if isinstance(x, FeatureMapTensor):
-        return x.values.shape
-    mask = np.asarray(x)
-    if mask.dtype != bool:
-        raise ValidationError(
-            f"{what} must be a FeatureMapTensor or a bool mask, not {mask.dtype}"
-        )
-    return mask.shape
-
-
 def simulate_layer_stats(
-    in_tensor: Union[FeatureMapTensor, np.ndarray],
-    out_tensor: Union[FeatureMapTensor, np.ndarray],
+    in_tensor: _Source,
+    out_tensor: _Source,
     layer: LayerDescriptor,
     schedule: Optional[LayerSchedule] = None,
     hw: Optional[HardwareConfig] = None,
@@ -575,27 +584,7 @@ def simulate_layer_stats(
     may each be a tensor or a (channels, height, width) bool mask of its
     non-zero pixels, such as :func:`nhsim.netmodel.synthetic_mask` draws.
     """
-    hw = hw or HardwareConfig()
-    if schedule is None:
-        schedule = plan_layer(layer, hw)
-    else:
-        _check_schedule(layer, schedule)
-    _check_input(_source_shape(in_tensor, "input"), layer)
-    out_shape = _source_shape(out_tensor, "stand-in output")
-    if out_shape != layer.out_shape:
-        raise ValidationError(
-            f"stand-in output {out_shape} does not match "
-            f"layer output {layer.out_shape}"
-        )
-    # a tensor's masks are made as in simulate_layer
-    if isinstance(in_tensor, FeatureMapTensor):
-        in_mask = in_tensor.values != 0
-    else:
-        in_mask = np.asarray(in_tensor)
-    out_mask = None  # a raw layer drains every pixel
-    if layer.encode:
-        if isinstance(out_tensor, FeatureMapTensor):
-            out_mask = codec.nonzero_mask(out_tensor.values)
-        else:
-            out_mask = np.asarray(out_tensor)
-    return _layer_stats(in_mask, out_mask, layer, schedule, hw)
+    schedule, hw = _plan(layer, schedule, hw)
+    in_tensor = _checked(in_tensor, (layer.n_in, layer.h, layer.w), "input", "layer")
+    out_tensor = _checked(out_tensor, layer.out_shape, "stand-in output", "layer output")
+    return _layer_stats(in_tensor, out_tensor, layer, schedule, hw)

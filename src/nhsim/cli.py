@@ -106,8 +106,12 @@ def _layer_entry(layer, schedule, stats: LayerStats) -> dict:
     } | stats.as_dict()
 
 
-def _load_kernels(path: str, frac_w: int, where: str) -> netmodel.KernelSet:
+def _load_kernels(path: Optional[str], frac_w: int, where: str) -> netmodel.KernelSet:
     """A weight file whose stored precision must be the layer's ``frac_w``."""
+    if path is None:
+        raise netmodel.ValidationError(
+            f"{where} has no weights file; use synthetic mode for shape-only descriptors"
+        )
     kern = netmodel.load_weights(path)
     if kern.qformat.frac_bits != frac_w:
         raise netmodel.ValidationError(
@@ -134,14 +138,8 @@ def run_network(
     no weights are read, and only the performance report is produced.
     """
     hw = hw or HardwareConfig()
+    # accel checks the input's shape, but not its fixed-point format
     first = net.layers[0]
-    if (input_tensor.channels, input_tensor.height, input_tensor.width) != (
-        first.n_in, first.h, first.w,
-    ):
-        raise netmodel.ValidationError(
-            f"input {(input_tensor.channels, input_tensor.height, input_tensor.width)}"
-            f" does not match layer 1 ({first.n_in}, {first.h}, {first.w})"
-        )
     if input_tensor.qformat.frac_bits != first.frac_in:
         raise netmodel.ValidationError(
             f"input has {input_tensor.qformat.frac_bits} fractional bits, "
@@ -156,11 +154,6 @@ def run_network(
     current = input_tensor
     final_vec: Optional[np.ndarray] = None
     for i, layer in enumerate(net.layers):
-        if synthetic_sparsity is None and layer.weights_path is None:
-            raise netmodel.ValidationError(
-                f"layer {i} has no weights file; use synthetic mode for "
-                "shape-only descriptors"
-            )
         schedule = accel.plan_layer(layer, hw)
         if synthetic_sparsity is None:
             kern = _load_kernels(layer.weights_path, layer.frac_w, f"layer {i}")
@@ -179,8 +172,6 @@ def run_network(
     if synthetic_sparsity is None:
         vec = netmodel.stream_order_values(current).astype(np.int64)
         for j, d in enumerate(net.fc):
-            if d.weights_path is None:
-                raise netmodel.ValidationError("fully-connected layer has no weights")
             kern = _load_kernels(d.weights_path, d.frac_w, f"fc {j}")
             w = kern.weights.reshape(kern.n_out, -1)
             if w.shape[1] != vec.size:
@@ -287,8 +278,11 @@ def compare_codecs_cmd(
     rows = []  # all sized before the header, so an empty corpus prints nothing
     for label, batches in points:
         parts = [codec.batch_sizes(b, precision) for b in batches]
-        if not parts:
-            raise netmodel.ValidationError("corpus is empty")
+        if not parts:  # no synthetic trials, or a corpus of no tensors
+            raise netmodel.ValidationError(
+                "corpus is empty" if corpus is not None
+                else f"--trials must be at least 1 for compare-codecs, got {trials}"
+            )
         mean = {k: float(np.mean(np.concatenate([p[k] for p in parts]))) for k in parts[0]}
         row = {"label": label, "sparsity": mean["sparsity"]}
         row |= {k: mean[k] for k in ("raw_bits", "sm_bits", "rl_bits", "cis_bits")}
@@ -497,6 +491,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         corpus = None
         if args.corpus:
             paths = sorted(glob.glob(os.path.join(args.corpus, "*.nht")))
+            if not paths:
+                raise netmodel.ValidationError(f"no .nht files were found in {args.corpus}")
             corpus = [netmodel.load_tensor(pth) for pth in paths]
         compare_codecs_cmd(
             parse_sweep(args.sparsity_sweep), args.precision, args.trials,

@@ -326,17 +326,17 @@ def synthetic_mask(
     width: int,
     target_sparsity: float,
     rng: np.random.Generator,
-    burst_mean: Optional[float] = None,
 ) -> NonzeroMask:
     """``synthetic_tensor(...).values != 0``, without forming the values.
 
     For the same arguments and generator state this returns the non-zero
-    pixels of the tensor :func:`synthetic_tensor` would draw and leaves
-    ``rng`` in the same state: it draws the same uniforms, ``_CHUNK`` at a
-    time, and keeps only their zero test.
+    pixels of the i.i.d. tensor :func:`synthetic_tensor` would draw and
+    leaves ``rng`` in the same state: it draws the same uniforms,
+    ``_CHUNK`` at a time, and keeps only their zero test.  Markov masks
+    come from :func:`synthetic_mask_groups`.
     """
     n = _stand_in_pixels(channels, height, width, target_sparsity)
-    nonzero = _nonzero_stream(n, target_sparsity, rng, burst_mean)
+    nonzero = _nonzero_stream(n, target_sparsity, rng, None)
     return nonzero.reshape(height, width, channels).transpose(2, 0, 1).view(NonzeroMask)
 
 

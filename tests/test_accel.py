@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -614,10 +615,25 @@ class TestStatsInputs:
                 simulate_layer_stats(x, out, layer)
 
     def test_output_shape_checked_for_masks(self, rng):
+        # a raw layer reads no output mask, but its shape is checked too
+        t = random_tensor(rng, 8, 10, 10)
+        for layer in (self.LAYER, dataclasses.replace(self.LAYER, encode=False)):
+            with pytest.raises(ValidationError, match="stand-in output"):
+                simulate_layer_stats(t, np.ones((16, 8, 9), dtype=bool), layer)
+
+    def test_simulate_layer_does_not_call_public_stats(self, rng, monkeypatch):
+        # perfbench's tracer wraps accel.simulate_layer_stats; a call from
+        # simulate_layer would count the layer's stats twice
         layer = self.LAYER
         t = random_tensor(rng, 8, 10, 10)
-        with pytest.raises(ValidationError, match="stand-in output"):
-            simulate_layer_stats(t, np.ones((16, 8, 9), dtype=bool), layer)
+        kern = random_kernels(rng, 16, 8, 3)
+        want = simulate_layer(t, kern, layer).stats
+
+        def public_stats(*args, **kwargs):
+            raise AssertionError("simulate_layer called simulate_layer_stats")
+
+        monkeypatch.setattr(accel, "simulate_layer_stats", public_stats)
+        assert simulate_layer(t, kern, layer).stats == want
 
     def test_non_bool_array_rejected(self, rng):
         layer = self.LAYER

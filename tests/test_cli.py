@@ -139,10 +139,14 @@ class TestRunNetwork:
         with pytest.raises(ValidationError, match="fc 0: .* 10 fractional bits.*frac_w=8"):
             run_network(net, random_tensor(rng, 1, 8, 8))
 
-    def test_input_mismatch_rejected(self, rng):
+    def test_input_mismatch_rejected(self, tmp_path, rng):
+        # the first layer's own check, in both modes
         net = presets.network("roshambo")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"input \(1, 32, 32\) does not match layer \(1, 64, 64\)"):
             run_network(net, random_tensor(rng, 1, 32, 32), synthetic_sparsity=0.8)
+        net = build_tiny_net(tmp_path, rng)
+        with pytest.raises(ValidationError, match=r"input \(1, 9, 8\) does not match layer \(1, 8, 8\)"):
+            run_network(net, random_tensor(rng, 1, 9, 8))
 
     def test_input_format_mismatch_rejected(self, rng):
         net = presets.network("roshambo")
@@ -186,8 +190,21 @@ class TestRunNetwork:
 
     def test_real_mode_requires_weights(self, rng):
         net = presets.network("roshambo")
-        with pytest.raises(ValidationError, match="synthetic"):
+        with pytest.raises(ValidationError, match="layer 0 has no weights file; use synthetic"):
             run_network(net, random_tensor(rng, 1, 64, 64))
+
+    def test_real_mode_requires_fc_weights(self, tmp_path, rng, capsys):
+        # a network file whose fc entry reads "weights": null
+        netpath, inpath = tmp_path / "net.json", str(tmp_path / "in.nht")
+        netmodel.save_network(build_tiny_net(tmp_path, rng), str(netpath))
+        doc = json.loads(netpath.read_text())
+        doc["fc"][0]["weights"] = None
+        netpath.write_text(json.dumps(doc))
+        netmodel.save_tensor(random_tensor(rng, 1, 8, 8), inpath)
+        assert main(["run", "--net", str(netpath), "--input", inpath]) == 2
+        assert capsys.readouterr().err == (
+            "nhsim: fc 0 has no weights file; use synthetic mode for shape-only descriptors\n"
+        )
 
     def test_report_json_serializable(self, rng):
         net = presets.network("face_detector")
@@ -385,6 +402,15 @@ class TestCliCommands:
         assert lines[0].startswith("sparsity")
         assert len(lines) == 4
 
+    def test_compare_codecs_names_a_corpus_without_tensors(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "notes.txt").write_text("no tensors here")
+        for corpus in (tmp_path / "missing", tmp_path / "empty"):
+            assert main(["compare-codecs", "--corpus", str(corpus)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"nhsim: no .nht files were found in {corpus}\n"
+            assert captured.out == ""
+
     def test_selfcheck_command_passes(self, capsys):
         assert main(["selfcheck", "--seed", "1", "--trials", "25"]) == 0
         assert "25 trials passed" in capsys.readouterr().out
@@ -526,7 +552,8 @@ class TestNumericFlags:
         (["compare-codecs", "--sparsity-sweep=0:0:5e-324"], "at most 1001 points"),
         (["compare-codecs", "--precision=0"], "--precision must be at least 1"),
         (["compare-codecs", "--trials=-1"], "--trials must be at least 0"),
-        (["compare-codecs", "--trials=0"], "corpus is empty"),
+        (["compare-codecs", "--trials=0"],
+         "--trials must be at least 1 for compare-codecs, got 0"),
         (["compare-codecs", "--precision=4611686018427387904", "--trials=1"],
          "overflows 64-bit sizes"),
         (["selfcheck", "--trials=-3"], "--trials must be at least 0"),

@@ -97,9 +97,18 @@ class TestSparsity:
             netmodel.synthetic_tensor(1, 4, 4, 1.5, rng)
 
 
+def draw_mask(c, h, w, sp, rng, burst_mean):
+    """A stand-in's non-zero mask as nhsim draws it: ``synthetic_mask`` if
+    i.i.d., a group of one from ``synthetic_mask_groups`` if Markov."""
+    if burst_mean is None:
+        return netmodel.synthetic_mask(c, h, w, sp, rng)
+    (group,) = netmodel.synthetic_mask_groups(1, c, h, w, sp, rng, burst_mean)
+    return group[0]
+
+
 def assert_same_as_reference(c, h, w, sp, burst_mean, seed):
     """Same values, dtype and generator state as the per-pixel generator,
-    and the same non-zero pixels and state from ``synthetic_mask``."""
+    and the same non-zero pixels and state from :func:`draw_mask`."""
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = reference_synthetic_tensor(c, h, w, sp, want_rng, QFormat(6), burst_mean)
     got = netmodel.synthetic_tensor(c, h, w, sp, got_rng, QFormat(6), burst_mean)
@@ -108,7 +117,7 @@ def assert_same_as_reference(c, h, w, sp, burst_mean, seed):
     assert np.array_equal(got.values, want.values)
     assert got.qformat == want.qformat
     mask_rng = np.random.default_rng(seed)
-    mask = netmodel.synthetic_mask(c, h, w, sp, mask_rng, burst_mean)
+    mask = draw_mask(c, h, w, sp, mask_rng, burst_mean)
     assert mask.dtype == bool
     assert np.array_equal(mask, want.values != 0)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -187,16 +196,12 @@ class TestSyntheticMatchesReference:
         assert peak < 4 * c * h * w
 
 
-    @pytest.mark.parametrize("generate", ["tensor", "mask"])
-    def test_markov_peak_memory_below_16_mib(self, generate):
+    def test_markov_peak_memory_below_16_mib(self):
         # the whole-stream Markov scan peaked at 143.9 MiB on this map
         rng = np.random.default_rng(3)
         tracemalloc.start()
         try:
-            if generate == "tensor":
-                netmodel.synthetic_tensor(64, 224, 224, 0.82, rng, burst_mean=16.0)
-            else:
-                netmodel.synthetic_mask(64, 224, 224, 0.82, rng, burst_mean=16.0)
+            netmodel.synthetic_tensor(64, 224, 224, 0.82, rng, burst_mean=16.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,9 +256,10 @@ class TestStandInDraw:
         n = int(np.prod(shape)) + (burst_mean is not None)
         draws = {
             "tensor": lambda r: netmodel.synthetic_tensor(*shape, 0.82, r, burst_mean=burst_mean),
-            "mask": lambda r: netmodel.synthetic_mask(*shape, 0.82, r, burst_mean),
         }
-        if burst_mean is not None:  # groups draw Markov stand-ins only
+        if burst_mean is None:
+            draws["mask"] = lambda r: netmodel.synthetic_mask(*shape, 0.82, r)
+        else:  # groups draw Markov stand-ins only
             draws["groups"] = lambda r: list(
                 netmodel.synthetic_mask_groups(count, *shape, 0.82, r, burst_mean)
             )
@@ -281,7 +287,8 @@ class TestStandInDraw:
 
 
 class TestSyntheticMask:
-    """``synthetic_mask`` against ``synthetic_tensor(...).values != 0``."""
+    """``synthetic_mask`` against ``synthetic_tensor(...).values != 0``;
+    with ``burst_mean``, :func:`draw_mask`'s group of one."""
 
     @staticmethod
     def assert_mask_matches_tensor(bit_generator, shape, sp, burst_mean, seed=1, drawn=0):
@@ -291,7 +298,7 @@ class TestSyntheticMask:
         for r in (tensor_rng, mask_rng):
             r.integers(0, 1 << 32, size=drawn, dtype=np.uint32)
         t = netmodel.synthetic_tensor(*shape, sp, tensor_rng, burst_mean=burst_mean)
-        mask = netmodel.synthetic_mask(*shape, sp, mask_rng, burst_mean=burst_mean)
+        mask = draw_mask(*shape, sp, mask_rng, burst_mean)
         assert mask.dtype == bool and mask.shape == shape
         assert np.array_equal(mask, t.values != 0)
         assert same_state(mask_rng.bit_generator.state, tensor_rng.bit_generator.state)
