@@ -43,6 +43,7 @@ and the output field count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import IO, Optional, Sequence, Union
@@ -83,6 +84,10 @@ class HardwareConfig:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"{f.name} must be positive and finite, got {value}")
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{f.name} must be an integer, got {value}")
+            if f.type == "int":  # a numpy integer too, so reports stay plain JSON
+                object.__setattr__(self, f.name, int(value))
 
     @property
     def peak_gops(self) -> float:

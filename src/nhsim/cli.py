@@ -22,6 +22,7 @@ identical cycles of each layer (:func:`nhsim.accel.write_trace`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import glob
 import json
@@ -464,16 +465,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         net = netmodel.load_network(args.net)
         tensor = netmodel.load_tensor(args.input)
         hw = HardwareConfig(clock_hz=args.clock_mhz * 1e6)
-        trace_f = open(args.trace, "w", encoding="utf-8") if args.trace else None
-        try:
+        with (open(args.trace, "w", encoding="utf-8") if args.trace
+              else contextlib.nullcontext()) as trace_f:
             report, _ = run_network(
                 net, tensor, hw,
                 synthetic_sparsity=args.synthetic_sparsity,
                 seed=args.seed, trace=trace_f,
             )
-        finally:
-            if trace_f:
-                trace_f.close()
         print_report(report)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as f:

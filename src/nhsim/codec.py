@@ -44,7 +44,6 @@ are flushed with a final pair whose value lies past the end of the image.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +57,9 @@ from .netmodel import (
     FeatureMapTensor,
     FileFormatError,
     ValidationError,
-    check_frac_bits,
+    _Layout,
+    _read_file,
+    _write_file,
 )
 
 SEGMENT_BITS = 16
@@ -164,14 +165,6 @@ def row_segments(w: int, c: int) -> int:
 _MASK_BLOCK_BYTES = 1 << 18
 
 
-def _pack_maps(mask: np.ndarray) -> np.ndarray:
-    h, w, c = mask.shape
-    buf = np.zeros((h, 2 * row_segments(w, c)), dtype=np.uint8)
-    bits = np.packbits(mask.reshape(h, w * c), axis=1, bitorder="little")
-    buf[:, : bits.shape[1]] = bits
-    return buf.view("<u2")
-
-
 def nonzero_mask(values: np.ndarray) -> np.ndarray:
     """(c, h, w) bool mask of the non-zero pixels of (c, h, w) ``values``.
 
@@ -198,7 +191,11 @@ def sparsity_maps(mask: np.ndarray) -> np.ndarray:
     that row, in stream order, is non-zero; bits past the row end are 0.
     A mask from :func:`nonzero_mask` packs without a copy.
     """
-    return _pack_maps(mask.transpose(1, 2, 0))
+    c, h, w = mask.shape
+    buf = np.zeros((h, 2 * row_segments(w, c)), dtype=np.uint8)
+    bits = np.packbits(mask.transpose(1, 2, 0).reshape(h, w * c), axis=1, bitorder="little")
+    buf[:, : bits.shape[1]] = bits
+    return buf.view("<u2")
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +205,9 @@ def sparsity_maps(mask: np.ndarray) -> np.ndarray:
 def encode(t: FeatureMapTensor) -> CompressedStream:
     """Compress a tensor into the interleaved SM / non-zero-value format."""
     c, h, w = t.values.shape
-    mask = nonzero_mask(t.values).transpose(1, 2, 0)  # (h, w, c) in C order
-    sm = _pack_maps(mask).reshape(-1)
-    nonzero = t.values.transpose(1, 2, 0)[mask]
+    mask = nonzero_mask(t.values)
+    sm = sparsity_maps(mask).reshape(-1)
+    nonzero = t.values.transpose(1, 2, 0)[mask.transpose(1, 2, 0)]  # stream order
     del mask  # one byte a pixel: free it before the field buffers exist
     sizes = np.bitwise_count(sm) + np.uint8(1)  # each SM and its values
     starts = np.cumsum(sizes, dtype=np.int64)
@@ -404,36 +401,19 @@ def batch_sizes(values: np.ndarray, precision: int = 16) -> dict[str, np.ndarray
 # ---------------------------------------------------------------------------
 # .nhc container
 
-_STREAM_MAGIC = b"NHC1"
+_STREAM_FILE = _Layout(
+    b"NHC1", "<HHHBIB", "compressed stream", lambda c, h, w, frac, words, pad: 4 * words
+)
 
 
 def save_stream(s: CompressedStream, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(_STREAM_MAGIC)
-        f.write(
-            struct.pack(
-                "<HHHBIB",
-                s.channels, s.height, s.width, s.frac_bits,
-                s.word_count, 1 if s.padded else 0,
-            )
-        )
-        f.write(np.ascontiguousarray(s.words, dtype="<u4"))
+    header = (s.channels, s.height, s.width, s.frac_bits, s.word_count, int(s.padded))
+    _write_file(_STREAM_FILE, path, header, s.words.astype("<u4", copy=False))
 
 
 def load_stream(path: str) -> CompressedStream:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _STREAM_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a compressed stream")
-    if len(blob) < 16:
-        raise FileFormatError(f"{path}: truncated header")
-    c, h, w, frac, n_words, pad_flag = struct.unpack("<HHHBIB", blob[4:16])
+    (c, h, w, frac, n_words, pad_flag), payload = _read_file(_STREAM_FILE, path)
     if pad_flag not in (0, 1):
         raise FileFormatError(f"{path}: trailing-pad flag {pad_flag}, expected 0 or 1")
-    expected = 16 + 4 * n_words
-    if len(blob) != expected:
-        raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    words = np.frombuffer(blob, dtype="<u4", offset=16).astype(np.uint32)
-    return CompressedStream(
-        words, 2 * n_words - pad_flag, c, h, w, check_frac_bits(path, frac)
-    )
+    words = np.frombuffer(payload, dtype="<u4").astype(np.uint32)
+    return CompressedStream(words, 2 * n_words - pad_flag, c, h, w, frac)

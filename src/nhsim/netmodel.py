@@ -33,7 +33,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -81,13 +81,6 @@ def _check_frac(where: str, **fracs: int) -> None:
     for key, frac in fracs.items():
         if not 0 <= frac <= MAX_FRAC:
             raise ValidationError(f"{where}: {key} {frac} outside [0, {MAX_FRAC}]")
-
-
-def check_frac_bits(path: str, frac: int) -> int:
-    """A file header's ``frac_bits``, which must be in [0, MAX_FRAC]."""
-    if not 0 <= frac <= MAX_FRAC:
-        raise FileFormatError(f"{path}: frac_bits {frac} outside [0, {MAX_FRAC}]")
-    return frac
 
 
 # ---------------------------------------------------------------------------
@@ -608,56 +601,73 @@ def save_network(net: NetworkDescriptor, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary tensor / weight files
+# binary containers: .nht tensors and .nhw weights here, .nhc streams in codec
 
-_TENSOR_MAGIC = b"NHT1"
-_WEIGHT_MAGIC = b"NHW1"
+
+@dataclass(frozen=True)
+class _Layout:
+    """A container's magic, the struct format of the header after it
+    (``frac_bits`` its fourth field) and the payload bytes a header promises."""
+
+    magic: bytes
+    header: str
+    what: str
+    payload_bytes: Callable[..., int]
+
+
+def _write_file(layout: _Layout, path: str, header: tuple, *payload: np.ndarray) -> None:
+    with open(path, "wb") as f:
+        f.write(layout.magic + struct.pack(layout.header, *header))
+        for a in payload:
+            f.write(np.ascontiguousarray(a))  # C order
+
+
+def _read_file(layout: _Layout, path: str) -> tuple[tuple, memoryview]:
+    """A file's header fields and payload bytes, checked in this order: the
+    magic, a complete header, the exact size, then ``frac_bits``."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:4] != layout.magic:
+        raise FileFormatError(f"{path}: bad magic, not a {layout.what}")
+    start = 4 + struct.calcsize(layout.header)
+    if len(blob) < start:
+        raise FileFormatError(f"{path}: truncated header")
+    header = struct.unpack(layout.header, blob[4:start])
+    expected = start + layout.payload_bytes(*header)
+    if len(blob) != expected:
+        raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
+    if not 0 <= header[3] <= MAX_FRAC:
+        raise FileFormatError(f"{path}: frac_bits {header[3]} outside [0, {MAX_FRAC}]")
+    return header, memoryview(blob)[start:]
+
+
+_TENSOR_FILE = _Layout(b"NHT1", "<HHHB", "tensor file", lambda c, h, w, frac: 2 * c * h * w)
+_WEIGHT_FILE = _Layout(
+    b"NHW1", "<HHHB", "weight file",
+    lambda n_out, n_in, k, frac: 2 * n_out * n_in * k * k + 4 * n_out,
+)
 
 
 def save_tensor(t: FeatureMapTensor, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(_TENSOR_MAGIC)
-        f.write(struct.pack("<HHHB", t.channels, t.height, t.width, t.qformat.frac_bits))
-        f.write(stream_order_values(t).astype("<i2").tobytes())
+    header = (t.channels, t.height, t.width, t.qformat.frac_bits)
+    _write_file(_TENSOR_FILE, path, header, stream_order_values(t).astype("<i2", copy=False))
 
 
 def load_tensor(path: str) -> FeatureMapTensor:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _TENSOR_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a tensor file")
-    if len(blob) < 11:
-        raise FileFormatError(f"{path}: truncated header")
-    c, h, w, frac = struct.unpack("<HHHB", blob[4:11])
-    expected = 11 + 2 * c * h * w
-    if len(blob) != expected:
-        raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<i2", offset=11).astype(np.int16)
-    values = np.ascontiguousarray(flat.reshape(h, w, c).transpose(2, 0, 1))
-    return FeatureMapTensor(values, QFormat(check_frac_bits(path, frac)))
+    (c, h, w, frac), payload = _read_file(_TENSOR_FILE, path)
+    values = np.frombuffer(payload, dtype="<i2").reshape(h, w, c).transpose(2, 0, 1)
+    return FeatureMapTensor(values.astype(np.int16, order="C"), QFormat(frac))
 
 
 def save_weights(k: KernelSet, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(_WEIGHT_MAGIC)
-        f.write(struct.pack("<HHHB", k.n_out, k.n_in, k.k, k.qformat.frac_bits))
-        f.write(np.ascontiguousarray(k.weights).astype("<i2").tobytes())
-        f.write(k.bias.astype("<i4").tobytes())
+    header = (k.n_out, k.n_in, k.k, k.qformat.frac_bits)
+    _write_file(_WEIGHT_FILE, path, header, k.weights.astype("<i2"), k.bias.astype("<i4"))
 
 
 def load_weights(path: str) -> KernelSet:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _WEIGHT_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a weight file")
-    if len(blob) < 11:
-        raise FileFormatError(f"{path}: truncated header")
-    n_out, n_in, k, frac = struct.unpack("<HHHB", blob[4:11])
+    (n_out, n_in, k, frac), payload = _read_file(_WEIGHT_FILE, path)
     n_w = n_out * n_in * k * k
-    expected = 11 + 2 * n_w + 4 * n_out
-    if len(blob) != expected:
-        raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     # astype copies, so the arrays are writable and do not share the blob
-    w = np.frombuffer(blob, dtype="<i2", offset=11, count=n_w).astype(np.int16)
-    b = np.frombuffer(blob, dtype="<i4", offset=11 + 2 * n_w).astype(np.int32)
-    return KernelSet(w.reshape(n_out, n_in, k, k), b, QFormat(check_frac_bits(path, frac)))
+    w = np.frombuffer(payload, dtype="<i2", count=n_w).astype(np.int16)
+    b = np.frombuffer(payload, dtype="<i4", offset=2 * n_w).astype(np.int32)
+    return KernelSet(w.reshape(n_out, n_in, k, k), b, QFormat(frac))

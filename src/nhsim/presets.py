@@ -8,7 +8,7 @@ Pad values are forced by the dimension chaining between consecutive layers.
 
 from __future__ import annotations
 
-from .netmodel import LayerDescriptor, NetworkDescriptor
+from .netmodel import LayerDescriptor, NetworkDescriptor, ValidationError
 
 # (n_in, n_out, k, h, w, pad, pool)
 _ROSHAMBO = [
@@ -73,7 +73,7 @@ def network(name: str) -> NetworkDescriptor:
     try:
         table = _TABLES[name]
     except KeyError:
-        raise KeyError(f"unknown preset {name!r}; have {sorted(_TABLES)}") from None
+        raise ValidationError(f"unknown preset {name!r}; have {sorted(_TABLES)}") from None
     layers = [
         LayerDescriptor(
             n_in=n_in, n_out=n_out, k=k, h=h, w=w, pad=pad, pool=pool, name=f"conv{i + 1}"

@@ -162,6 +162,22 @@ MUTANTS = [
         "    stats = simulate_layer_stats(in_tensor, out_tensor, layer, schedule, hw)\n",
         "tests/test_accel.py::TestStatsInputs::test_simulate_layer_does_not_call_public_stats",
     ),
+    (
+        # a fractional MAC count, bank size or pixel memory passes the
+        # hardware check and fails later inside the planner
+        "src/nhsim/accel.py",
+        "            if f.type == \"int\" and not isinstance(value, numbers.Integral):\n"
+        "                raise ValidationError(f\"{f.name} must be an integer, got {value}\")\n",
+        "",
+        "tests/test_schedule.py::test_hardware_counts_must_be_integers",
+    ),
+    (
+        # the shared file reader accepts bytes past the size its header gives
+        "src/nhsim/netmodel.py",
+        "    if len(blob) != expected:",
+        "    if len(blob) < expected:",
+        "tests/test_netmodel.py::TestFileFraming::test_single_fault_message",
+    ),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quantize_kernel_set, reference_synthetic_tensor, stream_order_iter
-from nhsim import netmodel, presets
+from nhsim import codec, netmodel, presets
 from nhsim.fxp import QFormat
 from nhsim.netmodel import (
     FeatureMapTensor,
@@ -670,6 +671,55 @@ class TestFileRoundtrips:
             load_weights(str(path))
 
 
+# per container: a writer of a small valid file, its loader, and what a
+# file with the wrong magic is said not to be
+_CONTAINERS = {
+    "nht": (
+        lambda p: save_tensor(
+            FeatureMapTensor(np.arange(12, dtype=np.int16).reshape(3, 2, 2), QFormat(8)), p
+        ),
+        load_tensor, "tensor file",
+    ),
+    "nhw": (
+        lambda p: save_weights(
+            KernelSet(np.ones((2, 1, 3, 3), np.int16), np.arange(2, dtype=np.int32), QFormat(8)),
+            p,
+        ),
+        load_weights, "weight file",
+    ),
+    "nhc": (
+        lambda p: codec.save_stream(
+            codec.encode(FeatureMapTensor(np.eye(4, dtype=np.int16)[None], QFormat(8))), p
+        ),
+        codec.load_stream, "compressed stream",
+    ),
+}
+
+
+class TestFileFraming:
+    """The three containers share one reader: a file with one fault in its
+    framing fails with that fault's message, word for word."""
+
+    @pytest.mark.parametrize("fault", ["magic", "short header", "one byte more", "one byte less"])
+    @pytest.mark.parametrize("kind", sorted(_CONTAINERS))
+    def test_single_fault_message(self, tmp_path, kind, fault):
+        save, load, what = _CONTAINERS[kind]
+        path = tmp_path / f"f.{kind}"
+        save(str(path))
+        blob = path.read_bytes()
+        header_bytes = 16 if kind == "nhc" else 11
+        bad, message = {
+            "magic": (b"NHX1" + blob[4:], f"bad magic, not a {what}"),
+            "short header": (blob[: header_bytes - 1], "truncated header"),
+            "one byte more": (blob + b"\0", f"expected {len(blob)} bytes, got {len(blob) + 1}"),
+            "one byte less": (blob[:-1], f"expected {len(blob)} bytes, got {len(blob) - 1}"),
+        }[fault]
+        path.write_bytes(bad)
+        with pytest.raises(netmodel.FileFormatError) as err:
+            load(str(path))
+        assert str(err.value) == f"{path}: {message}"
+
+
 class TestNetworkDescriptors:
     def test_roshambo_table_loads_and_chains(self, tmp_path):
         net = presets.network("roshambo")
@@ -681,6 +731,11 @@ class TestNetworkDescriptors:
         back = load_network(path)
         assert len(back.layers) == 5
         assert back.layers[1].h == 30 and back.layers[1].w == 30
+
+    def test_unknown_preset_is_a_validation_error(self):
+        message = f"unknown preset 'vgg17'; have {presets.preset_names()}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            presets.network("vgg17")
 
     def test_giga1net_table_loads(self, tmp_path):
         net = presets.network("giga1net")
