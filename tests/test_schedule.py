@@ -165,20 +165,23 @@ def test_hardware_fields_must_be_positive_and_finite(field, value):
         HardwareConfig(**{field: value})
 
 
-
 @pytest.mark.parametrize("field", ["macs", "pixel_mem_bytes", "kernel_bank_values"])
 @pytest.mark.parametrize("value", [100.5, 4096.0])
 def test_hardware_counts_must_be_integers(field, value):
-    # checked after the positive-and-finite rule; clock_hz may be fractional
     message = f"{field} must be an integer, got {value}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         HardwareConfig(**{field: value})
+    # the positive-and-finite rule is checked first
+    with pytest.raises(ValidationError, match=f"{field} must be positive and finite"):
+        HardwareConfig(**{field: -value})
 
 
 def test_hardware_counts_take_numpy_integers():
     # stored as Python ints: an unsigned count would overflow the planner's
     # ceiling divisions, and reports must stay plain JSON
-    given = HardwareConfig(macs=np.int64(64), kernel_bank_values=np.uint16(1024))
+    given = HardwareConfig(
+        macs=np.int64(64), kernel_bank_values=np.uint16(1024), clock_hz=250.5e6
+    )
     assert type(given.macs) is int and type(given.kernel_bank_values) is int
-    plain = HardwareConfig(macs=64, kernel_bank_values=1024)
+    plain = HardwareConfig(macs=64, kernel_bank_values=1024, clock_hz=250.5e6)
     assert plan_layer(layer(16, 16, 3), given) == plan_layer(layer(16, 16, 3), plain)
