@@ -175,9 +175,10 @@ def run_network(
         for j, d in enumerate(net.fc):
             kern = _load_kernels(d.weights_path, d.frac_w, f"fc {j}")
             w = kern.weights.reshape(kern.n_out, -1)
-            if w.shape[1] != vec.size:
+            if w.shape != (d.n_out, d.n_in):
                 raise netmodel.ValidationError(
-                    f"fc expects {w.shape[1]} inputs, got {vec.size}"
+                    f"fc {j}: {d.weights_path} holds {w.shape[0]}x{w.shape[1]} weights, "
+                    f"the entry declares {d.n_out}x{d.n_in}"
                 )
             vec = refmodel.dense_forward(
                 vec, w, kern.bias, d.frac_in + d.frac_w, d.frac_out, d.relu

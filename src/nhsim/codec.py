@@ -51,12 +51,10 @@ import numpy as np
 
 from .fxp import QFormat
 from .netmodel import (
-    MAX_CHANNELS,
-    MAX_DIM,
-    MAX_FRAC,
     FeatureMapTensor,
     FileFormatError,
     ValidationError,
+    _check_limits,
     _Layout,
     _read_file,
     _write_file,
@@ -243,15 +241,10 @@ def decode_raw(s: RawPixelStream) -> FeatureMapTensor:
 
 def _check_header(s: CompressedStream) -> tuple[int, int, int]:
     # checked before any buffer is sized from the header
-    if s.channels > MAX_CHANNELS or s.height > MAX_DIM or s.width > MAX_DIM:
-        raise StreamError(
-            f"stream header dims {(s.channels, s.height, s.width)} exceed "
-            f"({MAX_CHANNELS}, {MAX_DIM}, {MAX_DIM})", 0,
-        )
-    if not 0 <= s.frac_bits <= MAX_FRAC:
-        raise StreamError(
-            f"stream header frac_bits {s.frac_bits} outside [0, {MAX_FRAC}]", 0
-        )
+    _check_limits(
+        "stream header", lambda msg: StreamError(msg, 0),
+        channels=s.channels, height=s.height, width=s.width, frac_bits=s.frac_bits,
+    )
     if s.field_count < 0 or s.word_count != -(-s.field_count // 2):
         raise StreamError(
             f"field count {s.field_count} does not fill {s.word_count} words", 0

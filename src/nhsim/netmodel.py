@@ -30,6 +30,7 @@ network config      JSON, schema::
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -43,6 +44,15 @@ MAX_CHANNELS = 1024
 MAX_DIM = 512
 MAX_KERNEL = 7
 MAX_PAD = 3
+
+# the least and greatest value of each count nhsim accepts
+_LIMITS = {
+    **dict.fromkeys(("channels", "n_in", "n_out"), (1, MAX_CHANNELS)),
+    **dict.fromkeys(("height", "width", "h", "w"), (1, MAX_DIM)),
+    "k": (1, MAX_KERNEL),
+    "pad": (0, MAX_PAD),
+    **dict.fromkeys(("frac_bits", "frac_in", "frac_w", "frac_out"), (0, MAX_FRAC)),
+}
 
 # pixels per block of the synthetic stand-ins' uniform draws
 _CHUNK = 65536
@@ -77,21 +87,16 @@ def _cast_checked(a: np.ndarray, dtype, what: str) -> np.ndarray:
     return a.astype(dtype)
 
 
-def _check_frac(where: str, **fracs: int) -> None:
-    for key, frac in fracs.items():
-        if not 0 <= frac <= MAX_FRAC:
-            raise ValidationError(f"{where}: {key} {frac} outside [0, {MAX_FRAC}]")
+def _check_limits(where: str, error: Callable[[str], Exception], **counts: int) -> None:
+    """Raise ``error`` for the first of ``counts`` outside its ``_LIMITS`` range."""
+    for key, value in counts.items():
+        lo, hi = _LIMITS[key]
+        if not lo <= value <= hi:
+            raise error(f"{where}: {key} {value} outside [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
 # tensors
-
-
-def _check_shape(channels: int, height: int, width: int) -> None:
-    if not 1 <= channels <= MAX_CHANNELS:
-        raise ValidationError(f"channels {channels} outside [1, {MAX_CHANNELS}]")
-    if not (1 <= height <= MAX_DIM and 1 <= width <= MAX_DIM):
-        raise ValidationError(f"dims {height}x{width} outside [1, {MAX_DIM}]")
 
 
 @dataclass
@@ -103,7 +108,8 @@ class FeatureMapTensor:
         v = self.values
         if v.ndim != 3:
             raise ValidationError(f"tensor must be 3-D, got shape {v.shape}")
-        _check_shape(*v.shape)
+        c, h, w = v.shape
+        _check_limits("tensor", ValidationError, channels=c, height=h, width=w)
         self.values = _cast_checked(v, np.int16, "tensor values")
 
     @property
@@ -202,7 +208,7 @@ def _stand_in_pixels(channels: int, height: int, width: int, target_sparsity: fl
     before it draws."""
     if not 0.0 <= target_sparsity <= 1.0:
         raise ValidationError("sparsity must be in [0, 1]")
-    _check_shape(channels, height, width)
+    _check_limits("stand-in", ValidationError, channels=channels, height=height, width=width)
     return channels * height * width
 
 
@@ -347,8 +353,9 @@ class KernelSet:
         w = self.weights
         if w.ndim != 4 or w.shape[2] != w.shape[3]:
             raise ValidationError(f"weights must be (n_out, n_in, k, k), got {w.shape}")
-        if not 1 <= w.shape[2] <= MAX_KERNEL:
-            raise ValidationError(f"kernel size {w.shape[2]} outside [1, {MAX_KERNEL}]")
+        if min(w.shape[:2]) < 1:
+            raise ValidationError(f"weights need n_out and n_in of at least 1, got {w.shape}")
+        _check_limits("weights", ValidationError, k=w.shape[2])
         if self.bias.shape != (w.shape[0],):
             raise ValidationError("bias length must equal n_out")
         self.weights = _cast_checked(w, np.int16, "weights")
@@ -389,24 +396,14 @@ class LayerDescriptor:
     name: str = ""
 
     def __post_init__(self):
-        if not 1 <= self.n_in <= MAX_CHANNELS:
-            raise ValidationError(f"{self.name or 'layer'}: n_in {self.n_in} out of range")
-        if not 1 <= self.n_out <= MAX_CHANNELS:
-            raise ValidationError(f"{self.name or 'layer'}: n_out {self.n_out} out of range")
-        if not (1 <= self.h <= MAX_DIM and 1 <= self.w <= MAX_DIM):
-            raise ValidationError(f"{self.name or 'layer'}: dims {self.h}x{self.w} out of range")
-        if not 1 <= self.k <= MAX_KERNEL:
-            raise ValidationError(f"{self.name or 'layer'}: kernel {self.k} out of range")
-        if not 0 <= self.pad <= MAX_PAD:
-            raise ValidationError(f"{self.name or 'layer'}: pad {self.pad} out of range")
+        _check_limits(
+            self.name or "layer", ValidationError,
+            **{kk: getattr(self, kk) for kk in _LAYER_INTS},
+        )
         if self.conv_h < 1 or self.conv_w < 1:
             raise ValidationError(f"{self.name or 'layer'}: empty convolution output")
         if self.pool and (self.conv_h < 2 or self.conv_w < 2):
             raise ValidationError(f"{self.name or 'layer'}: output too small to pool")
-        _check_frac(
-            self.name or "layer",
-            frac_in=self.frac_in, frac_w=self.frac_w, frac_out=self.frac_out,
-        )
 
     # spatial dims before pooling
     @property
@@ -455,8 +452,12 @@ class DenseLayerDescriptor:
     weights_path: Optional[str] = None
 
     def __post_init__(self):
-        _check_frac(
-            "fc layer", frac_in=self.frac_in, frac_w=self.frac_w, frac_out=self.frac_out
+        # fc sizes have no cap: VGG's first fc reads 25,088 values
+        if self.n_in < 1 or self.n_out < 1:
+            raise ValidationError(f"fc layer: sizes {self.n_in}->{self.n_out} must be at least 1")
+        _check_limits(
+            "fc layer", ValidationError,
+            frac_in=self.frac_in, frac_w=self.frac_w, frac_out=self.frac_out,
         )
 
 
@@ -481,11 +482,16 @@ class NetworkDescriptor:
                     f"layer {i} writes {a.frac_out} fractional bits, "
                     f"layer {i + 1} reads {b.frac_in}"
                 )
-        if self.fc and self.layers[-1].frac_out != self.fc[0].frac_in:
+        last, where = self.layers[-1], f"layer {len(self.layers) - 1}"
+        if self.fc and last.frac_out != self.fc[0].frac_in:
             raise ValidationError(
-                f"layer {len(self.layers) - 1} writes {self.layers[-1].frac_out} "
-                f"fractional bits, fc 0 reads {self.fc[0].frac_in}"
+                f"{where} writes {last.frac_out} fractional bits, fc 0 reads {self.fc[0].frac_in}"
             )
+        size = math.prod(last.out_shape)
+        for j, d in enumerate(self.fc):
+            if d.n_in != size:
+                raise ValidationError(f"{where} gives {size} values, fc {j} reads {d.n_in}")
+            where, size = f"fc {j}", d.n_out
 
 
 _LAYER_KEYS = (
@@ -493,22 +499,9 @@ _LAYER_KEYS = (
     "relu", "pool", "encode", "frac_in", "frac_w", "frac_out",
 )
 _LAYER_FLAGS = ("relu", "pool", "encode")
+_LAYER_INTS = tuple(kk for kk in _LAYER_KEYS if kk not in _LAYER_FLAGS)
 # n_in and n_out are required; the others default as DenseLayerDescriptor does
 _FC_KEYS = ("n_in", "n_out", "relu", "frac_in", "frac_w", "frac_out")
-
-
-def _object_list(path: str, key: str, entries, what: str) -> list[dict]:
-    """``entries`` (the value of ``key``) checked to be a list of objects."""
-    if not isinstance(entries, list):
-        raise FileFormatError(
-            f"{path}: {key!r} must be a list of objects, got {type(entries).__name__}"
-        )
-    for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FileFormatError(
-                f"{path}: {what} {idx} must be an object, got {type(entry).__name__}"
-            )
-    return entries
 
 
 def _int_field(path: str, where: str, entry: dict, key: str) -> int:
@@ -545,45 +538,45 @@ def load_network(path: str) -> NetworkDescriptor:
         raise FileFormatError(f"{path}: missing 'layers'")
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(where, entry):
-        p = entry.get("weights")
-        if p is None:
-            return None
-        if not isinstance(p, str):
-            raise FileFormatError(f"{path}: {where} field 'weights' is not a path: {p!r}")
-        return p if os.path.isabs(p) else os.path.join(base, p)
+    def read(entries, section: str, what: str, keys: tuple, required: tuple, build) -> list:
+        """One section's entries as ``build(idx, **fields, weights_path=...)``; every
+        entry is checked to be an object before any is read."""
+        if not isinstance(entries, list):
+            got = type(entries).__name__
+            raise FileFormatError(f"{path}: {section!r} must be a list of objects, got {got}")
+        for idx, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                got = type(entry).__name__
+                raise FileFormatError(f"{path}: {what} {idx} must be an object, got {got}")
+        out = []
+        for idx, entry in enumerate(entries):
+            where = f"{what} {idx}"
+            missing = [kk for kk in required if kk not in entry]
+            if missing:
+                raise FileFormatError(f"{path}: {where} missing keys {missing}")
+            fields = {
+                kk: (_flag_field if kk in _LAYER_FLAGS else _int_field)(path, where, entry, kk)
+                for kk in keys if kk in entry
+            }
+            p = entry.get("weights")
+            if isinstance(p, str):
+                p = os.path.join(base, p)  # an absolute path replaces base
+            elif p is not None:
+                raise FileFormatError(f"{path}: {where} field 'weights' is not a path: {p!r}")
+            try:
+                out.append(build(idx, **fields, weights_path=p))
+            except ValidationError as e:
+                raise ValidationError(f"{path}: {where}: {e}") from e
+        return out
 
-    layers = []
-    for idx, entry in enumerate(_object_list(path, "layers", doc["layers"], "layer")):
-        missing = [kk for kk in _LAYER_KEYS if kk not in entry]
-        if missing:
-            raise FileFormatError(f"{path}: layer {idx} missing keys {missing}")
-        where = f"layer {idx}"
-        ints = {
-            kk: _int_field(path, where, entry, kk)
-            for kk in _LAYER_KEYS if kk not in _LAYER_FLAGS
-        }
-        flags = {kk: _flag_field(path, where, entry, kk) for kk in _LAYER_FLAGS}
-        try:
-            layers.append(
-                LayerDescriptor(
-                    **ints, **flags,
-                    weights_path=resolve(where, entry), name=f"conv{idx + 1}",
-                )
-            )
-        except ValidationError as e:
-            raise ValidationError(f"{path}: layer {idx}: {e}") from e
-    fc = []
-    for idx, entry in enumerate(_object_list(path, "fc", doc.get("fc") or [], "fc")):
-        missing = [kk for kk in ("n_in", "n_out") if kk not in entry]
-        if missing:
-            raise FileFormatError(f"{path}: fc {idx} missing keys {missing}")
-        where = f"fc {idx}"
-        given = {
-            kk: (_flag_field if kk in _LAYER_FLAGS else _int_field)(path, where, entry, kk)
-            for kk in _FC_KEYS if kk in entry
-        }
-        fc.append(DenseLayerDescriptor(**given, weights_path=resolve(where, entry)))
+    layers = read(
+        doc["layers"], "layers", "layer", _LAYER_KEYS, _LAYER_KEYS,
+        lambda idx, **kw: LayerDescriptor(**kw, name=f"conv{idx + 1}"),
+    )
+    fc = read(
+        doc.get("fc") or [], "fc", "fc", _FC_KEYS, ("n_in", "n_out"),
+        lambda idx, **kw: DenseLayerDescriptor(**kw),
+    )
     return NetworkDescriptor(layers, fc, name=doc.get("name", ""))
 
 
@@ -636,8 +629,7 @@ def _read_file(layout: _Layout, path: str) -> tuple[tuple, memoryview]:
     expected = start + layout.payload_bytes(*header)
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    if not 0 <= header[3] <= MAX_FRAC:
-        raise FileFormatError(f"{path}: frac_bits {header[3]} outside [0, {MAX_FRAC}]")
+    _check_limits(path, FileFormatError, frac_bits=header[3])
     return header, memoryview(blob)[start:]
 
 

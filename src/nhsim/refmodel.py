@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fxp import I32_MAX, I32_MIN, QFormat, requantize_array
-from .netmodel import MAX_PAD, FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError
+from .netmodel import FeatureMapTensor, KernelSet, LayerDescriptor, ValidationError, _check_limits
 
 
 def conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int = 0) -> np.ndarray:
@@ -35,8 +35,7 @@ def conv2d(t: FeatureMapTensor, kern: KernelSet, pad: int = 0) -> np.ndarray:
         raise ValidationError(
             f"kernel expects {kern.n_in} input channels, tensor has {t.channels}"
         )
-    if not 0 <= pad <= MAX_PAD:
-        raise ValidationError(f"pad {pad} outside [0, {MAX_PAD}]")
+    _check_limits("conv2d", ValidationError, pad=pad)
     k = kern.k
     c, h, w = t.values.shape
     out_h = h + 2 * pad - k + 1

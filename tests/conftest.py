@@ -32,6 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from nhsim import codec
@@ -45,6 +46,12 @@ from nhsim.netmodel import (
     ValidationError,
     sparsity,
 )
+
+# tests/mutants.py runs each seeded fault's test under this profile.  The
+# explain phase runs only after a test has already failed, and the harness
+# discards its report, so dropping it changes no kill; it was most of the
+# time of the slowest mutant runs.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.explain])
 
 
 def saturate16(raw: int) -> int:

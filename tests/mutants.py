@@ -178,6 +178,20 @@ MUTANTS = [
         "    if len(blob) < expected:",
         "tests/test_netmodel.py::TestFileFraming::test_single_fault_message",
     ),
+    (
+        # the envelope check rejects a count at its greatest value
+        "src/nhsim/netmodel.py",
+        "        if not lo <= value <= hi:",
+        "        if not lo <= value < hi:",
+        "tests/test_netmodel.py::TestLimits::test_each_count_is_inclusive",
+    ),
+    (
+        # an fc entry may read another size than the layer before it writes
+        "src/nhsim/netmodel.py",
+        "            if d.n_in != size:\n",
+        "            if False:\n",
+        "tests/test_netmodel.py::TestNetworkDescriptors::test_fc_sizes_chain",
+    ),
 ]
 
 
@@ -190,7 +204,10 @@ def _copy(dst: str) -> None:
 
 def _pytest(where: str, test_ids: list[str]) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(where, "src"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids]
+    cmd = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--hypothesis-profile=mutants", *test_ids,
+    ]
     return subprocess.run(
         cmd, cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     ).returncode

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -138,6 +140,30 @@ class TestRunNetwork:
         netmodel.save_weights(KernelSet(kern.weights, kern.bias, QFormat(10)), path)
         with pytest.raises(ValidationError, match="fc 0: .* 10 fractional bits.*frac_w=8"):
             run_network(net, random_tensor(rng, 1, 8, 8))
+
+    @pytest.mark.parametrize("n_out, stored", [(5, (4, 54, 1, 1)), (4, (4, 50, 1, 1))])
+    def test_fc_weights_must_match_their_entry(self, tmp_path, rng, n_out, stored):
+        net = build_tiny_net(tmp_path, rng)  # fc 0 reads 54 values
+        path = net.fc[0].weights_path
+        netmodel.save_weights(random_kernels(rng, *stored[:3], frac=8), path)
+        fc = DenseLayerDescriptor(n_in=54, n_out=n_out, weights_path=path)
+        net = NetworkDescriptor(net.layers, [fc])
+        want = f"fc 0: {path} holds {stored[0]}x{stored[1]} weights, the entry declares {n_out}x54"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            run_network(net, random_tensor(rng, 1, 8, 8))
+
+    def test_zero_channel_fc_weights_fail_in_one_line(self, tmp_path, rng, capsys):
+        netpath, inpath = str(tmp_path / "net.json"), str(tmp_path / "in.nht")
+        net = build_tiny_net(tmp_path, rng)
+        # a .nhw header for 0 outputs of 54 inputs, and so no payload
+        with open(net.fc[0].weights_path, "wb") as f:
+            f.write(b"NHW1" + struct.pack("<HHHB", 0, 54, 1, 8))
+        netmodel.save_network(net, netpath)
+        netmodel.save_tensor(random_tensor(rng, 1, 8, 8), inpath)
+        assert main(["run", "--net", netpath, "--input", inpath]) == 2
+        assert capsys.readouterr().err == (
+            "nhsim: weights need n_out and n_in of at least 1, got (0, 54, 1, 1)\n"
+        )
 
     def test_input_mismatch_rejected(self, tmp_path, rng):
         # the first layer's own check, in both modes

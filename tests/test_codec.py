@@ -587,8 +587,15 @@ class TestDecodeHeader:
             reference_decode(bad)
         assert exc.value.word_offset == 0
 
-    @pytest.mark.parametrize("dims", [(1025, 1, 1), (1, 513, 1), (65535, 65535, 65535)])
+    _BAD_DIMS = {
+        (1025, 1, 1): "channels 1025 outside", (1, 513, 1): "height 513 outside",
+        (65535, 65535, 65535): "channels 65535 outside", (0, 1, 1): "channels 0 outside",
+        (1, 0, 1): "height 0 outside", (1, 1, 0): "width 0 outside",
+    }
+
+    @pytest.mark.parametrize("dims", list(_BAD_DIMS))
     def test_dims_beyond_limits(self, dims):
         s = CompressedStream(np.zeros(1, dtype=np.uint32), 2, *dims, 8)
-        with pytest.raises(StreamError, match="exceed"):
+        with pytest.raises(StreamError, match=self._BAD_DIMS[dims]) as exc:
             decode(s)
+        assert exc.value.word_offset == 0

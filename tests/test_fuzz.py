@@ -175,13 +175,16 @@ def network_docs(draw):
 
 
 def _saved_network_doc(name: str) -> dict:
-    """A preset as ``save_network`` writes it, plus one fc entry."""
+    """A preset as ``save_network`` writes it, plus one fc entry that reads
+    its last layer's output."""
+    net = presets.network(name)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "net.json")
-        netmodel.save_network(presets.network(name), path)
+        netmodel.save_network(net, path)
         with open(path) as f:
             doc = json.load(f)
-    doc["fc"] = [{"n_in": 16, "n_out": 4, "weights": "fc.nhw"}]
+    n_in = int(np.prod(net.layers[-1].out_shape))
+    doc["fc"] = [{"n_in": n_in, "n_out": 4, "weights": "fc.nhw"}]
     return doc
 
 

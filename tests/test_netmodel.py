@@ -368,8 +368,8 @@ class TestSyntheticMask:
 
     @pytest.mark.parametrize(
         "shape, message",
-        [((0, 4, 4), "channels"), ((1025, 1, 1), "channels"), ((1, 513, 1), "dims"),
-         ((1, 1, 0), "dims")],
+        [((0, 4, 4), "channels"), ((1025, 1, 1), "channels"),
+         ((1, 513, 1), "height 513 outside"), ((1, 1, 0), "width 0 outside")],
     )
     def test_rejects_shape_before_drawing(self, shape, message):
         rng = np.random.default_rng(0)
@@ -463,7 +463,7 @@ class TestSyntheticMaskGroups:
 
     @pytest.mark.parametrize(
         "shape, sp, message",
-        [((0, 4, 4), 0.5, "channels"), ((1, 513, 1), 0.5, "dims"),
+        [((0, 4, 4), 0.5, "channels"), ((1, 513, 1), 0.5, "height 513 outside"),
          ((2, 4, 4), 1.5, "sparsity")],
     )
     def test_rejects_before_drawing(self, shape, sp, message):
@@ -476,15 +476,15 @@ class TestSyntheticMaskGroups:
 
 class TestTensorLimits:
     def test_channel_cap(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^tensor: channels 1025 outside \[1, 1024\]$"):
             FeatureMapTensor(np.zeros((1025, 1, 1), dtype=np.int16), QFormat(8))
 
     def test_dim_cap(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^tensor: height 513 outside \[1, 512\]$"):
             FeatureMapTensor(np.zeros((1, 513, 1), dtype=np.int16), QFormat(8))
 
     def test_kernel_cap(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^weights: k 8 outside \[1, 7\]$"):
             KernelSet(
                 np.zeros((1, 1, 8, 8), dtype=np.int16),
                 np.zeros(1, dtype=np.int32),
@@ -498,6 +498,48 @@ class TestTensorLimits:
                 np.zeros(1, dtype=np.int32),
                 QFormat(8),
             )
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 0, 3, 3), (0, 0, 1, 1)])
+    def test_kernel_needs_an_output_and_an_input(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"at least 1, got {shape}")):
+            KernelSet(np.zeros(shape, np.int16), np.zeros(shape[0], np.int32), QFormat(8))
+
+
+class TestLimits:
+    """Every count nhsim accepts is checked against one table, both bounds
+    included."""
+
+    @pytest.mark.parametrize("key", sorted(netmodel._LIMITS))
+    def test_each_count_is_inclusive(self, key):
+        lo, hi = netmodel._LIMITS[key]
+        for value in (lo, hi):
+            netmodel._check_limits("here", ValidationError, **{key: value})
+        for value in (lo - 1, hi + 1):
+            with pytest.raises(
+                ValidationError, match=rf"^here: {key} {value} outside \[{lo}, {hi}\]$"
+            ):
+                netmodel._check_limits("here", ValidationError, **{key: value})
+
+    def test_table_states_the_envelope(self):
+        assert netmodel._LIMITS == {
+            "channels": (1, 1024), "n_in": (1, 1024), "n_out": (1, 1024),
+            "height": (1, 512), "width": (1, 512), "h": (1, 512), "w": (1, 512),
+            "k": (1, 7), "pad": (0, 3),
+            "frac_bits": (0, 15), "frac_in": (0, 15), "frac_w": (0, 15), "frac_out": (0, 15),
+        }
+
+    @pytest.mark.parametrize(
+        "edge, step",
+        [(dict(n_in=1, n_out=1, h=1, w=1, k=1, pad=0, frac_in=0, frac_w=0, frac_out=0), -1),
+         (dict(n_in=1024, n_out=1024, h=512, w=512, k=7, pad=3, frac_in=15, frac_w=15,
+               frac_out=15), 1)],
+        ids=["lo", "hi"],
+    )
+    def test_layer_checks_all_nine_fields(self, edge, step):
+        LayerDescriptor(**edge)
+        for key, value in edge.items():
+            with pytest.raises(ValidationError, match=f"^layer: {key} {value + step} outside"):
+                LayerDescriptor(**(edge | {key: value + step}))
 
 
 class TestValueRanges:
@@ -771,6 +813,49 @@ class TestNetworkDescriptors:
         fc = [netmodel.DenseLayerDescriptor(n_in=144, n_out=2, frac_in=10)]
         with pytest.raises(ValidationError, match="fc 0 reads 10"):
             NetworkDescriptor(layers, fc)
+
+    @pytest.mark.parametrize("n_in, n_out", [(0, 2), (144, 0), (-3, 0)])
+    def test_fc_sizes_must_be_positive(self, n_in, n_out):
+        with pytest.raises(ValidationError, match=f"^fc layer: sizes {n_in}->{n_out} must be at least 1$"):
+            netmodel.DenseLayerDescriptor(n_in=n_in, n_out=n_out)
+
+    def test_fc_sizes_have_no_cap(self):
+        # VGG's first fc reads 7 * 7 * 512 values
+        assert netmodel.DenseLayerDescriptor(n_in=25088, n_out=4096).n_in == 25088
+
+    def test_fc_sizes_chain(self):
+        dense = netmodel.DenseLayerDescriptor
+        layers = [LayerDescriptor(n_in=1, n_out=4, h=8, w=8, k=3)]  # 4 x 6 x 6 out
+        NetworkDescriptor(layers, [dense(n_in=144, n_out=10), dense(n_in=10, n_out=2)])
+        with pytest.raises(ValidationError, match="^layer 0 gives 144 values, fc 0 reads 143$"):
+            NetworkDescriptor(layers, [dense(n_in=143, n_out=10)])
+        with pytest.raises(ValidationError, match="^fc 0 gives 10 values, fc 1 reads 11$"):
+            NetworkDescriptor(layers, [dense(n_in=144, n_out=10), dense(n_in=11, n_out=2)])
+
+    @pytest.mark.parametrize(
+        "n_in, n_out, message",
+        [(999, 10, "layer 1 gives 784 values, fc 0 reads 999"),
+         (-3, 0, "fc 0: fc layer: sizes -3->0")],
+    )
+    def test_face_detector_fc_entry_must_fit(self, tmp_path, n_in, n_out, message):
+        path = str(tmp_path / "net.json")
+        save_network(presets.network("face_detector"), path)
+        with open(path) as f:
+            doc = json.load(f)
+        doc["fc"] = [{"n_in": n_in, "n_out": n_out, "weights": "fc.nhw"}]
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(ValidationError, match=message):
+            load_network(path)
+
+    def test_fc_entry_error_names_file_and_entry(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["fc"][0]["frac_in"] = 20
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        want = f"{path}: fc 0: fc layer: frac_in 20 outside [0, 15]"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            load_network(path)
 
     @pytest.mark.parametrize("key", ["n_in", "n_out"])
     def test_fc_entry_missing_size_rejected(self, tmp_path, key):
